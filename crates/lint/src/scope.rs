@@ -140,14 +140,10 @@ pub struct RngRoot {
 
 /// The declared RNG stream roots.
 pub const RNG_ROOTS: &[RngRoot] = &[
+    // The event loop's sender edge (`Region::send_packet`), the one place
+    // the link-fault model draws, whichever driver runs the region.
     RngRoot {
         file: "crates/netsim/src/sim.rs",
-        func: "send_packet",
-        stream: "fault",
-        allowed: &["fault_rng"],
-    },
-    RngRoot {
-        file: "crates/netsim/src/shard.rs",
         func: "send_packet",
         stream: "fault",
         allowed: &["fault_rng"],
@@ -187,11 +183,14 @@ pub struct LockDecl {
 
 /// The declared lock identities.
 pub const LOCK_DECLS: &[LockDecl] = &[
+    // The sharded driver's per-region mutexes; the serial `Simulator` owns
+    // its region unlocked.
     LockDecl {
         file: "crates/netsim/src/shard.rs",
         recvs: &["regions", "reg", "r"],
         lock: "netsim.region",
     },
+    // Tap rings, pushed from inside a region's event window.
     LockDecl {
         file: "crates/netsim/src/sim.rs",
         recvs: &["self", "0"],

@@ -4,8 +4,10 @@
 //! reproduction of *"The Security Investigation of Ban Score and Misbehavior
 //! Tracking in Bitcoin Network"* (ICDCS 2022):
 //!
-//! * [`sim`] — the event loop, hosts, apps, timers, promiscuous **taps**
-//!   (sniffing) and raw packet **injection** (spoofing);
+//! * [`sim`] — the event loop (one, shared by both drivers), hosts, apps,
+//!   timers, promiscuous **taps** (sniffing) and raw packet **injection**
+//!   (spoofing), plus the serial driver [`Simulator`] that runs a single
+//!   region of it;
 //! * [`tcp`] — a TCP-lite transport with a real three-way handshake,
 //!   sequence/acknowledgment tracking and transport checksums, so the
 //!   paper's post-connection Defamation attack has genuine state to steal;
@@ -17,9 +19,9 @@
 //!   latency jitter and reordering plus a scheduled [`FaultPlan`] of
 //!   partitions and link flaps (the adverse-network model of the
 //!   detector-robustness sweep);
-//! * [`shard`] — the sharded simulator: per-region event loops under
-//!   conservative-lookahead synchronization, bit-identical at any worker
-//!   count, for 100k+ host swarm topologies;
+//! * [`shard`] — the sharded driver [`ShardedSim`]: the same event loop
+//!   run per region under conservative-lookahead synchronization,
+//!   bit-identical at any worker count, for 100k+ host swarm topologies;
 //! * [`rng`] / [`time`] — deterministic randomness and virtual time.
 //!
 //! ## Example: two hosts, one tap

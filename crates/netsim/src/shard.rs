@@ -1,16 +1,16 @@
-//! The sharded discrete-event simulator: per-region event loops under
-//! conservative-lookahead synchronization, for 100k+ host topologies.
+//! The sharded driver of the event loop: hosts partitioned into regions
+//! under conservative-lookahead synchronization, for 100k+ host
+//! topologies.
 //!
 //! # Model
 //!
 //! Hosts are partitioned into **regions** — a fixed, seed-deterministic
 //! assignment (or an explicit pin via
-//! [`ShardedSim::add_host_pinned`]). Each region owns its hosts in
-//! column-major (SoA) storage, runs its own `BinaryHeap` event loop, and
-//! draws from its own derived RNG streams (the same salt discipline as
-//! the fault layer: region 0 uses the unsalted seed, so a one-region
-//! simulation replays the serial [`Simulator`](crate::sim::Simulator)
-//! draw for draw).
+//! [`ShardedSim::add_host_pinned`]). Each region is one instance of the
+//! crate's only event loop (`sim::Region`, which the serial
+//! [`Simulator`](crate::sim::Simulator) drives alone): it owns its hosts
+//! in column-major storage, its own event queue and its own derived RNG
+//! streams (region 0 uses the unsalted seed).
 //!
 //! Links *within* a region have the usual LAN latency
 //! ([`ShardConfig::latency`]); links *between* regions have a larger
@@ -35,23 +35,20 @@
 //! RNG streams are all independent of [`ShardConfig::workers`], so the
 //! results — counters, captures, fault statistics — are **bit-identical
 //! at any worker count**. Workers only decide which OS thread locks which
-//! region inside a round. `regions = 1, workers = 1` degenerates to
-//! exactly the serial simulator: one heap, one unsalted RNG stream, no
-//! mailboxes (pinned by `tests/shard_equivalence.rs` and the
-//! `prop_shard_invariance` property test).
+//! region inside a round. With `regions = 1` there are no mailboxes and a
+//! single window spans the whole run, so the result is the serial
+//! `Simulator`'s; `tests/determinism.rs` pins both drivers to the same
+//! recorded digests.
 
 use crate::cpu::CpuMeter;
 use crate::faults::{FaultPlan, FaultStats, LinkFaults};
-use crate::packet::{IcmpEcho, Ipv4, Packet, PacketBody, SockAddr};
-use crate::rng::SimRng;
+use crate::packet::{Ipv4, Packet};
 use crate::sim::{
-    App, Ctx, HostConfig, HostCounters, Outbox, Sniffed, TapFilter, TapHandle,
-    DEFAULT_LATENCY, DEFAULT_TAP_CAPACITY, FAULT_RNG_SALT,
+    App, HostConfig, HostCounters, LocalId, Net, Region, Sniffed, TapFilter, TapHandle,
+    DEFAULT_LATENCY, DEFAULT_TAP_CAPACITY,
 };
-use crate::tcp::{TcpDropStats, TcpStack};
+use crate::tcp::TcpDropStats;
 use crate::time::{Nanos, MILLIS};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Mutex;
 
 /// Default one-way latency between hosts in *different* regions
@@ -59,17 +56,8 @@ use std::sync::Mutex;
 /// so larger values mean fewer synchronization rounds.
 pub const DEFAULT_REGION_LATENCY: Nanos = 30 * MILLIS;
 
-/// Seed salt separating per-region RNG streams. Region `r` draws
-/// application randomness from `seed ^ (SALT · r)` and fault randomness
-/// from `(seed ^ FAULT_RNG_SALT) ^ (SALT · r)`; region 0 therefore uses
-/// the exact streams of the serial simulator.
-const SHARD_STREAM_SALT: u64 = 0x5AAD_C0DE_D15C_0123;
-
 /// Region index.
 pub type RegionId = u32;
-
-/// Host index within its region's columns.
-type LocalId = u32;
 
 /// Sharded-simulator configuration.
 #[derive(Clone, Copy, Debug)]
@@ -124,335 +112,11 @@ fn assign_region(seed: u64, ip: Ipv4, regions: u32) -> RegionId {
     (mix64(u64::from(u32::from_be_bytes(ip)) ^ seed) % u64::from(regions)) as RegionId
 }
 
-enum EventKind {
-    Start(LocalId),
-    /// A packet in flight within this region, with the destination's
-    /// column index when it lives here (`None` = unknown destination,
-    /// delivered "into the void" so taps and the delivered counter still
-    /// observe it, exactly like the serial simulator).
-    Deliver(Packet, Option<LocalId>),
-    Timer(LocalId, u64),
-    TcpTick(LocalId),
-}
-
-struct Event {
-    time: Nanos,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
 /// One staged cross-region packet (FIFO within its mailbox).
-struct Mail {
-    time: Nanos,
-    packet: Packet,
-    dst: LocalId,
-}
-
-/// Immutable per-run context shared by every region.
-struct Net<'a> {
-    /// Global sorted ip → (region, column) index.
-    index: &'a [(Ipv4, (RegionId, LocalId))],
-    plan: &'a FaultPlan,
-    cfg: ShardConfig,
-}
-
-impl Net<'_> {
-    #[inline]
-    fn lookup(&self, ip: Ipv4) -> Option<(RegionId, LocalId)> {
-        self.index
-            .binary_search_by_key(&ip, |e| e.0)
-            .ok()
-            .map(|i| self.index[i].1)
-    }
-}
-
-/// One region: an independent event loop over column-major host state.
-///
-/// Hot per-host fields live in parallel columns (SoA) instead of an
-/// array-of-`Host`-structs: the event loop touches `counters`/`cpus` on
-/// every delivery and `apps`/`tcps` only on dispatch, so the columns keep
-/// the per-event working set dense.
-struct Region {
-    id: RegionId,
-    now: Nanos,
-    queue: BinaryHeap<Reverse<Event>>,
-    next_seq: u64,
-    // --- SoA host columns (parallel, indexed by LocalId) ---
-    ips: Vec<Ipv4>,
-    apps: Vec<Option<Box<dyn App>>>,
-    tcps: Vec<TcpStack>,
-    cpus: Vec<CpuMeter>,
-    configs: Vec<HostConfig>,
-    counters: Vec<HostCounters>,
-    tick_at: Vec<Option<Nanos>>,
-    // --- per-region streams and stats ---
-    rng: SimRng,
-    fault_rng: SimRng,
-    fault_stats: FaultStats,
-    delivered_packets: u64,
-    taps: Vec<(TapFilter, TapHandle)>,
-    /// Staged cross-region packets, indexed by destination region.
-    outbound: Vec<Vec<Mail>>,
-}
-
-impl Region {
-    fn new(id: RegionId, regions: u32, seed: u64) -> Self {
-        let salt = SHARD_STREAM_SALT.wrapping_mul(u64::from(id));
-        Region {
-            id,
-            now: 0,
-            queue: BinaryHeap::new(),
-            next_seq: 0,
-            ips: Vec::new(),
-            apps: Vec::new(),
-            tcps: Vec::new(),
-            cpus: Vec::new(),
-            configs: Vec::new(),
-            counters: Vec::new(),
-            tick_at: Vec::new(),
-            rng: SimRng::new(seed ^ salt),
-            fault_rng: SimRng::new((seed ^ FAULT_RNG_SALT) ^ salt),
-            fault_stats: FaultStats::default(),
-            delivered_packets: 0,
-            taps: Vec::new(),
-            outbound: (0..regions).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    fn push_event(&mut self, time: Nanos, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push(Reverse(Event { time, seq, kind }));
-    }
-
-    /// Schedules `packet`, applying the fault model at the sender's edge
-    /// and routing cross-region packets into the staging mailbox.
-    fn send_packet(&mut self, net: &Net<'_>, packet: Packet) {
-        let f = net.cfg.faults;
-        let dst = net.lookup(packet.dst.ip);
-        let cross = matches!(dst, Some((r, _)) if r != self.id);
-        let mut delay = if cross {
-            net.cfg.region_latency
-        } else {
-            net.cfg.latency
-        };
-        if f.any() || !net.plan.is_none() {
-            if net.plan.blocked(self.now, packet.src.ip, packet.dst.ip) {
-                self.fault_stats.dropped_partition += 1;
-                return;
-            }
-            let loss = (f.loss + net.plan.extra_loss(self.now)).min(1.0);
-            if loss > 0.0 && self.fault_rng.gen_bool(loss) {
-                self.fault_stats.dropped_loss += 1;
-                return;
-            }
-            if f.jitter > 0 {
-                let offset = self.fault_rng.gen_range(2 * f.jitter + 1);
-                delay = (delay + offset).saturating_sub(f.jitter).max(1);
-                self.fault_stats.jittered += 1;
-            }
-            if f.reorder > 0.0 && f.reorder_window > 0 && self.fault_rng.gen_bool(f.reorder) {
-                delay += 1 + self.fault_rng.gen_range(f.reorder_window);
-                self.fault_stats.reordered += 1;
-            }
-        }
-        match dst {
-            Some((r, local)) if r != self.id => self.outbound[r as usize].push(Mail {
-                time: self.now + delay,
-                packet,
-                dst: local,
-            }),
-            other => {
-                let local = other.map(|(_, l)| l);
-                self.push_event(self.now + delay, EventKind::Deliver(packet, local));
-            }
-        }
-    }
-
-    /// Executes every queued event with `time < hi_excl`, leaving later
-    /// events (and staged cross-region mail) untouched.
-    fn run_window(&mut self, net: &Net<'_>, hi_excl: Nanos) {
-        loop {
-            match self.queue.peek() {
-                Some(Reverse(ev)) if ev.time < hi_excl => {}
-                _ => break,
-            }
-            let Reverse(ev) = self.queue.pop().expect("peeked event");
-            debug_assert!(ev.time >= self.now, "region time went backwards");
-            self.now = ev.time;
-            match ev.kind {
-                EventKind::Start(i) => self.with_app(net, i, |app, ctx| app.on_start(ctx)),
-                EventKind::Timer(i, token) => {
-                    self.with_app(net, i, |app, ctx| app.on_timer(ctx, token));
-                }
-                EventKind::Deliver(packet, dst) => self.deliver(net, packet, dst),
-                EventKind::TcpTick(i) => self.tcp_tick(net, i, ev.time),
-            }
-        }
-    }
-
-    /// Mirrors `Simulator::deliver`: taps observe first, the delivered
-    /// counter always ticks, then the destination (if it lives here)
-    /// processes the packet.
-    fn deliver(&mut self, net: &Net<'_>, packet: Packet, dst: Option<LocalId>) {
-        for (filter, handle) in &self.taps {
-            if filter.matches(&packet) {
-                handle.push(Sniffed {
-                    time: self.now,
-                    packet: packet.clone(),
-                });
-            }
-        }
-        self.delivered_packets += 1;
-        let Some(i) = dst else {
-            return; // destination unreachable: dropped
-        };
-        let i = i as usize;
-        let dst_ip = packet.dst.ip;
-        self.counters[i].rx_packets += 1;
-        self.counters[i].rx_bytes += packet.wire_len() as u64;
-        self.cpus[i].charge(self.configs[i].kernel_cost_per_packet);
-        match &packet.body {
-            PacketBody::Icmp(echo) => {
-                let mut replies = Vec::new();
-                if echo.request {
-                    self.cpus[i].charge(self.configs[i].icmp_echo_cost);
-                    if self.configs[i].icmp_reply {
-                        replies.push(Packet {
-                            src: SockAddr::new(dst_ip, 0),
-                            dst: packet.src,
-                            body: PacketBody::Icmp(IcmpEcho {
-                                request: false,
-                                ..*echo
-                            }),
-                        });
-                    }
-                }
-                let echo = echo.clone();
-                let from = packet.src.ip;
-                self.with_app(net, i as LocalId, |app, ctx| app.on_icmp(ctx, from, &echo));
-                for r in replies {
-                    self.account_tx(i, &r);
-                    self.send_packet(net, r);
-                }
-            }
-            PacketBody::Tcp(seg) => {
-                let mut app = self.apps[i].take().expect("app present");
-                self.tcps[i].set_now(self.now);
-                let (events, replies) =
-                    self.tcps[i].handle_segment(packet.src, packet.dst, seg, &mut |peer| {
-                        app.on_accept(peer)
-                    });
-                self.apps[i] = Some(app);
-                for r in replies {
-                    self.account_tx(i, &r);
-                    self.send_packet(net, r);
-                }
-                self.dispatch_tcp_events(net, i as LocalId, events);
-                self.arm_tcp_tick(i as LocalId);
-            }
-        }
-    }
-
-    fn dispatch_tcp_events(&mut self, net: &Net<'_>, id: LocalId, events: Vec<crate::tcp::TcpEvent>) {
-        use crate::tcp::TcpEvent;
-        for ev in events {
-            self.with_app(net, id, |app, ctx| match &ev {
-                TcpEvent::Connected { id, peer, inbound } => {
-                    app.on_connected(ctx, *id, *peer, *inbound)
-                }
-                TcpEvent::Data { id, peer, payload } => app.on_data(ctx, *id, *peer, payload),
-                TcpEvent::Closed { id, peer, reason } => app.on_closed(ctx, *id, *peer, *reason),
-                TcpEvent::ConnectFailed { dst } => app.on_connect_failed(ctx, *dst),
-            });
-        }
-    }
-
-    fn tcp_tick(&mut self, net: &Net<'_>, id: LocalId, time: Nanos) {
-        let i = id as usize;
-        if self.tick_at[i] != Some(time) {
-            return; // stale tick
-        }
-        self.tick_at[i] = None;
-        self.tcps[i].set_now(self.now);
-        let (events, replies) = self.tcps[i].poll();
-        for r in replies {
-            self.account_tx(i, &r);
-            self.send_packet(net, r);
-        }
-        self.dispatch_tcp_events(net, id, events);
-        self.arm_tcp_tick(id);
-    }
-
-    fn arm_tcp_tick(&mut self, id: LocalId) {
-        let i = id as usize;
-        let Some(deadline) = self.tcps[i].next_deadline() else {
-            return;
-        };
-        let t = deadline.max(self.now);
-        if let Some(cur) = self.tick_at[i] {
-            if cur <= t {
-                return; // an earlier (or equal) tick will re-arm us
-            }
-        }
-        self.tick_at[i] = Some(t);
-        self.push_event(t, EventKind::TcpTick(id));
-    }
-
-    /// Runs `f` with the host's app and a fresh [`Ctx`], then applies the
-    /// collected outputs — the same collect-then-flush discipline as
-    /// `Simulator::with_app`.
-    fn with_app<F>(&mut self, net: &Net<'_>, id: LocalId, f: F)
-    where
-        F: FnOnce(&mut dyn App, &mut Ctx<'_>),
-    {
-        let i = id as usize;
-        let mut app = self.apps[i].take().expect("app present");
-        self.tcps[i].set_now(self.now);
-        let mut out = Outbox::default();
-        {
-            let mut ctx = Ctx::new(
-                self.now,
-                self.ips[i],
-                &mut self.tcps[i],
-                &mut self.cpus[i],
-                &mut self.rng,
-                &mut out,
-            );
-            f(app.as_mut(), &mut ctx);
-        }
-        self.apps[i] = Some(app);
-        for p in out.packets {
-            self.account_tx(i, &p);
-            self.send_packet(net, p);
-        }
-        for (delay, token) in out.timers {
-            self.push_event(self.now + delay, EventKind::Timer(id, token));
-        }
-        self.arm_tcp_tick(id);
-    }
-
-    fn account_tx(&mut self, i: usize, p: &Packet) {
-        self.counters[i].tx_packets += 1;
-        self.counters[i].tx_bytes += p.wire_len() as u64;
-    }
+pub(crate) struct Mail {
+    pub(crate) time: Nanos,
+    pub(crate) packet: Packet,
+    pub(crate) dst: LocalId,
 }
 
 /// A capture handle spanning every region (from [`ShardedSim::add_tap`]).
@@ -503,11 +167,9 @@ impl ShardTap {
 /// The sharded discrete-event simulator (see the module docs for the
 /// synchronization protocol and determinism contract).
 pub struct ShardedSim {
-    config: ShardConfig,
     now: Nanos,
     regions: Vec<Mutex<Region>>,
-    index: Vec<(Ipv4, (RegionId, LocalId))>,
-    plan: FaultPlan,
+    net: Net,
 }
 
 impl ShardedSim {
@@ -522,15 +184,13 @@ impl ShardedSim {
         ShardedSim {
             now: 0,
             regions,
-            index: Vec::new(),
-            plan: FaultPlan::none(),
-            config,
+            net: Net::new(config),
         }
     }
 
     /// The configuration.
     pub fn config(&self) -> &ShardConfig {
-        &self.config
+        &self.net.cfg
     }
 
     /// Current virtual time.
@@ -540,9 +200,9 @@ impl ShardedSim {
 
     /// The region an address would be (or was) assigned to.
     pub fn region_of(&self, ip: Ipv4) -> RegionId {
-        match self.index.binary_search_by_key(&ip, |e| e.0) {
-            Ok(i) => self.index[i].1 .0,
-            Err(_) => assign_region(self.config.seed, ip, self.config.regions),
+        match self.net.lookup(ip) {
+            Some((r, _)) => r,
+            None => assign_region(self.net.cfg.seed, ip, self.net.cfg.regions),
         }
     }
 
@@ -552,7 +212,7 @@ impl ShardedSim {
     ///
     /// Panics if `ip` is already in use.
     pub fn add_host(&mut self, ip: Ipv4, app: Box<dyn App>, config: HostConfig) -> RegionId {
-        let region = assign_region(self.config.seed, ip, self.config.regions);
+        let region = assign_region(self.net.cfg.seed, ip, self.net.cfg.regions);
         self.add_host_pinned(ip, app, config, region);
         region
     }
@@ -571,34 +231,16 @@ impl ShardedSim {
         config: HostConfig,
         region: RegionId,
     ) {
-        assert!(region < self.config.regions, "region out of range");
-        let slot = match self.index.binary_search_by_key(&ip, |e| e.0) {
-            Ok(_) => panic!("host {ip:?} already registered"),
-            Err(slot) => slot,
-        };
-        let reg = self.regions[region as usize]
+        assert!(region < self.net.cfg.regions, "region out of range");
+        self.regions[region as usize]
             .get_mut()
-            .expect("region lock poisoned");
-        let local = reg.ips.len() as LocalId;
-        let mut tcp = TcpStack::new(ip);
-        if self.config.reliable || self.config.faults.any() || !self.plan.is_none() {
-            tcp.set_reliable(true);
-        }
-        reg.ips.push(ip);
-        reg.apps.push(Some(app));
-        reg.tcps.push(tcp);
-        reg.cpus.push(CpuMeter::new(config.capacity_hz));
-        reg.configs.push(config);
-        reg.counters.push(HostCounters::default());
-        reg.tick_at.push(None);
-        let at = self.now;
-        reg.push_event(at, EventKind::Start(local));
-        self.index.insert(slot, (ip, (region, local)));
+            .expect("region lock poisoned")
+            .add_host(&mut self.net, ip, app, config);
     }
 
     /// Installs a tap observing deliveries in **every** region, with the
     /// default per-region ring capacity
-    /// ([`DEFAULT_TAP_CAPACITY`](crate::sim::DEFAULT_TAP_CAPACITY)).
+    /// ([`DEFAULT_TAP_CAPACITY`]).
     pub fn add_tap(&mut self, filter: TapFilter) -> ShardTap {
         self.add_tap_with_capacity(filter, DEFAULT_TAP_CAPACITY)
     }
@@ -610,12 +252,9 @@ impl ShardedSim {
             .regions
             .iter_mut()
             .map(|reg| {
-                let handle = TapHandle::new(capacity);
                 reg.get_mut()
                     .expect("region lock poisoned")
-                    .taps
-                    .push((filter, handle.clone()));
-                handle
+                    .add_tap(filter, capacity)
             })
             .collect();
         ShardTap { parts }
@@ -631,13 +270,10 @@ impl ShardedSim {
     ///
     /// Panics if `region` is out of range.
     pub fn add_tap_in(&mut self, filter: TapFilter, region: RegionId) -> TapHandle {
-        let handle = TapHandle::new(DEFAULT_TAP_CAPACITY);
         self.regions[region as usize]
             .get_mut()
             .expect("region lock poisoned")
-            .taps
-            .push((filter, handle.clone()));
-        handle
+            .add_tap(filter, DEFAULT_TAP_CAPACITY)
     }
 
     /// Installs (or replaces) the scheduled-fault timeline (see
@@ -645,12 +281,10 @@ impl ShardedSim {
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         if !plan.is_none() {
             for reg in &mut self.regions {
-                for tcp in &mut reg.get_mut().expect("region lock poisoned").tcps {
-                    tcp.set_reliable(true);
-                }
+                reg.get_mut().expect("region lock poisoned").set_reliable();
             }
         }
-        self.plan = plan;
+        self.net.plan = plan;
     }
 
     /// Fault-layer drop/delay counters, summed over regions.
@@ -674,24 +308,13 @@ impl ShardedSim {
             .sum()
     }
 
-    #[inline]
-    fn locate(&self, ip: Ipv4) -> (usize, usize) {
-        let (region, local) = self
-            .index
-            .binary_search_by_key(&ip, |e| e.0)
-            .ok()
-            .map(|i| self.index[i].1)
-            .expect("unknown host");
-        (region as usize, local as usize)
-    }
-
     /// Traffic counters of a host.
     ///
     /// # Panics
     ///
     /// Panics for an unknown host.
     pub fn host_counters(&self, ip: Ipv4) -> HostCounters {
-        let (r, i) = self.locate(ip);
+        let (r, i) = self.net.locate(ip);
         self.regions[r].lock().expect("region lock poisoned").counters[i]
     }
 
@@ -701,7 +324,7 @@ impl ShardedSim {
     ///
     /// Panics for an unknown host.
     pub fn host_cpu(&self, ip: Ipv4) -> CpuMeter {
-        let (r, i) = self.locate(ip);
+        let (r, i) = self.net.locate(ip);
         self.regions[r].lock().expect("region lock poisoned").cpus[i].clone()
     }
 
@@ -711,7 +334,7 @@ impl ShardedSim {
     ///
     /// Panics for an unknown host.
     pub fn host_tcp_drops(&self, ip: Ipv4) -> TcpDropStats {
-        let (r, i) = self.locate(ip);
+        let (r, i) = self.net.locate(ip);
         self.regions[r].lock().expect("region lock poisoned").tcps[i].drops
     }
 
@@ -721,7 +344,7 @@ impl ShardedSim {
     ///
     /// Panics for an unknown host.
     pub fn app<T: App>(&mut self, ip: Ipv4) -> Option<&T> {
-        let (r, i) = self.locate(ip);
+        let (r, i) = self.net.locate(ip);
         self.regions[r].get_mut().expect("region lock poisoned").apps[i]
             .as_ref()
             .and_then(|a| a.as_any().downcast_ref::<T>())
@@ -733,7 +356,7 @@ impl ShardedSim {
     ///
     /// Panics for an unknown host.
     pub fn app_mut<T: App>(&mut self, ip: Ipv4) -> Option<&mut T> {
-        let (r, i) = self.locate(ip);
+        let (r, i) = self.net.locate(ip);
         self.regions[r].get_mut().expect("region lock poisoned").apps[i]
             .as_mut()
             .and_then(|a| a.as_any_mut().downcast_mut::<T>())
@@ -744,29 +367,22 @@ impl ShardedSim {
     /// the base cross-region latency; loss/partition only remove packets
     /// and reordering only adds delay.
     fn lookahead(&self) -> Nanos {
-        let j = if self.config.faults.jitter > 0 {
-            self.config.faults.jitter
-        } else {
-            0
-        };
-        self.config.region_latency.saturating_sub(j).max(1)
+        let cfg = &self.net.cfg;
+        cfg.region_latency.saturating_sub(cfg.faults.jitter).max(1)
     }
 
     /// The next round's exclusive horizon, or `None` when no region has
     /// an event due at or before `t_end`.
     fn next_window(&self, t_end: Nanos) -> Option<Nanos> {
-        let mut t_min: Option<Nanos> = None;
-        for reg in &self.regions {
-            let reg = reg.lock().expect("region lock poisoned");
-            if let Some(Reverse(ev)) = reg.queue.peek() {
-                t_min = Some(t_min.map_or(ev.time, |t: Nanos| t.min(ev.time)));
-            }
-        }
-        let t = t_min?;
+        let t = self
+            .regions
+            .iter()
+            .filter_map(|reg| reg.lock().expect("region lock poisoned").next_event_time())
+            .min()?;
         if t > t_end {
             return None;
         }
-        if self.config.regions == 1 {
+        if self.net.cfg.regions == 1 {
             // No cross-region traffic can exist: run the whole span.
             return Some(t_end.saturating_add(1));
         }
@@ -794,7 +410,7 @@ impl ShardedSim {
                 }
                 let mut dst = self.regions[q].lock().expect("region lock poisoned");
                 for m in mail {
-                    dst.push_event(m.time, EventKind::Deliver(m.packet, Some(m.dst)));
+                    dst.receive(m);
                 }
             }
         }
@@ -806,18 +422,14 @@ impl ShardedSim {
     pub fn run_until(&mut self, t: Nanos) {
         let t_end = t.max(self.now);
         let n = self.regions.len();
-        let workers = self.config.workers.min(n).max(1);
+        let workers = self.net.cfg.workers.min(n).max(1);
         {
             let this = &*self;
-            let net = Net {
-                index: &this.index,
-                plan: &this.plan,
-                cfg: this.config,
-            };
+            let net = &this.net;
             if workers == 1 {
                 while let Some(hi) = this.next_window(t_end) {
                     for reg in &this.regions {
-                        reg.lock().expect("region lock poisoned").run_window(&net, hi);
+                        reg.lock().expect("region lock poisoned").run_window(net, hi);
                     }
                     this.exchange_mail();
                 }
@@ -826,7 +438,6 @@ impl ShardedSim {
                 std::thread::scope(|s| {
                     for w in 0..workers {
                         let phased = &phased;
-                        let net = &net;
                         let regions = &this.regions;
                         s.spawn(move || {
                             while let Some(hi) = phased.next_phase() {
@@ -868,6 +479,8 @@ impl ShardedSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::IcmpEcho;
+    use crate::sim::Ctx;
     use crate::time::SECS;
     use std::any::Any;
 
@@ -957,34 +570,8 @@ mod tests {
             0,
         );
         sim.run_for(SECS);
-        // The packet died in the void but taps and the counter saw it —
-        // the serial simulator's semantics.
+        // The packet died in the void but taps and the counter saw it.
         assert_eq!(sim.delivered_packets(), 1);
         assert_eq!(tap.len(), 1);
-    }
-
-    #[test]
-    fn worker_count_does_not_change_results() {
-        let run = |workers: usize| {
-            let mut sim = ShardedSim::new(ShardConfig {
-                regions: 4,
-                workers,
-                seed: 42,
-                ..ShardConfig::default()
-            });
-            let tap = sim.add_tap(TapFilter::All);
-            let ips: Vec<Ipv4> = (1..=12u8).map(|i| [10, 0, i, 1]).collect();
-            for (k, ip) in ips.iter().enumerate() {
-                let dst = ips[(k + 5) % ips.len()];
-                sim.add_host(*ip, Box::new(OnePing { dst, replies: 0 }), HostConfig::default());
-            }
-            sim.run_for(SECS);
-            let counters: Vec<HostCounters> = ips.iter().map(|ip| sim.host_counters(*ip)).collect();
-            (tap.drain(), counters, sim.delivered_packets())
-        };
-        let base = run(1);
-        assert_eq!(base, run(2));
-        assert_eq!(base, run(7));
-        assert!(base.2 > 0);
     }
 }

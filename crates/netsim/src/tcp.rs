@@ -250,11 +250,6 @@ impl TcpStack {
         self.listeners.insert(port);
     }
 
-    /// Number of open sockets.
-    pub fn socket_count(&self) -> usize {
-        self.socks.len()
-    }
-
     /// The remote address of `id`, if open.
     pub fn peer_of(&self, id: ConnId) -> Option<SockAddr> {
         self.routes.get(&id).map(|(_, remote)| *remote)
