@@ -8,7 +8,7 @@ use btc_netsim::sim::{HostConfig, TapFilter};
 use btc_netsim::time::{MILLIS, SECS};
 use btc_node::banscore::BanPolicy;
 use btc_node::chain::mine_child;
-use btc_node::node::NodeConfig;
+use btc_node::node::{NodeConfig, PeerPolicy};
 
 /// Outcome of running the Defamation attack under one node policy.
 #[derive(Clone, Debug, PartialEq)]
@@ -27,7 +27,7 @@ pub struct CounterOutcome {
 
 fn run_defamation_under(
     policy: BanPolicy,
-    good_score: bool,
+    peer_policy: PeerPolicy,
     name: &'static str,
 ) -> CounterOutcome {
     let mut tb = Testbed::build(TestbedConfig {
@@ -36,8 +36,7 @@ fn run_defamation_under(
         target_outbound: 1,
         node: NodeConfig {
             ban_policy: policy,
-            good_score,
-            good_score_min_credit: 1,
+            peer_policy,
             ..NodeConfig::default()
         },
         ..TestbedConfig::default()
@@ -48,11 +47,11 @@ fn run_defamation_under(
     let tap = tb.sim.add_tap(TapFilter::Host(addrs::TARGET));
     let mut defamer = PostConnDefamer::new(tb.target_addr, vec![innocent_ip], tap);
     defamer.poll = 50 * MILLIS;
-    if good_score {
+    if peer_policy == PeerPolicy::GoodScore {
         defamer.start_after = 6 * SECS;
     }
     tb.sim.add_host(addrs::ATTACKER, Box::new(defamer), HostConfig::default());
-    if good_score {
+    if peer_policy == PeerPolicy::GoodScore {
         // Let the innocent earn credit by relaying one valid block.
         tb.sim.run_for(2 * SECS);
         let innocent: &mut btc_node::Node = tb.sim.app_mut(innocent_ip).expect("innocent node");
@@ -84,10 +83,10 @@ fn run_defamation_under(
 /// Runs the Defamation attack under every §VIII policy.
 pub fn evaluate_countermeasures() -> Vec<CounterOutcome> {
     vec![
-        run_defamation_under(BanPolicy::Standard, false, "standard (0.20.0)"),
-        run_defamation_under(BanPolicy::NeverBan, false, "threshold → ∞"),
-        run_defamation_under(BanPolicy::Disabled, false, "checking disabled"),
-        run_defamation_under(BanPolicy::Standard, true, "good-score"),
+        run_defamation_under(BanPolicy::Standard, PeerPolicy::Stock, "standard (0.20.0)"),
+        run_defamation_under(BanPolicy::NeverBan, PeerPolicy::Stock, "threshold → ∞"),
+        run_defamation_under(BanPolicy::Disabled, PeerPolicy::Stock, "checking disabled"),
+        run_defamation_under(BanPolicy::Standard, PeerPolicy::GoodScore, "good-score"),
     ]
 }
 
@@ -155,7 +154,7 @@ mod tests {
 
     #[test]
     fn standard_policy_bans_the_innocent() {
-        let r = run_defamation_under(BanPolicy::Standard, false, "standard");
+        let r = run_defamation_under(BanPolicy::Standard, PeerPolicy::Stock, "standard");
         assert!(r.strikes_delivered);
         assert!(r.innocent_banned, "{r:?}");
         assert!(!r.innocent_connected);
@@ -163,7 +162,7 @@ mod tests {
 
     #[test]
     fn infinite_threshold_keeps_score_but_never_bans() {
-        let r = run_defamation_under(BanPolicy::NeverBan, false, "neverban");
+        let r = run_defamation_under(BanPolicy::NeverBan, PeerPolicy::Stock, "neverban");
         assert!(r.strikes_delivered);
         assert!(!r.innocent_banned);
         assert!(r.innocent_connected, "{r:?}");
@@ -173,7 +172,7 @@ mod tests {
 
     #[test]
     fn disabled_checking_tracks_nothing() {
-        let r = run_defamation_under(BanPolicy::Disabled, false, "disabled");
+        let r = run_defamation_under(BanPolicy::Disabled, PeerPolicy::Stock, "disabled");
         assert!(!r.innocent_banned);
         assert!(r.innocent_connected);
         assert_eq!(r.innocent_score, 0);
@@ -181,7 +180,7 @@ mod tests {
 
     #[test]
     fn good_score_shields_peers_with_history() {
-        let r = run_defamation_under(BanPolicy::Standard, true, "goodscore");
+        let r = run_defamation_under(BanPolicy::Standard, PeerPolicy::GoodScore, "goodscore");
         assert!(r.strikes_delivered);
         assert!(!r.innocent_banned, "{r:?}");
         assert!(r.innocent_connected);

@@ -5,10 +5,10 @@
 //! The sweep runs the same attack cases against three peer policies:
 //!
 //! * **stock** — Table-I points, 100 → 24 h hard ban (the paper's victim);
-//! * **detector** — the same node, with the §VII anomaly detector trained
+//! * **detector** — the stock node, with the §VII anomaly detector trained
 //!   on clean traffic and evaluated over the measured telemetry (the
 //!   detector *observes* but the ban mechanism is unchanged — exactly the
-//!   paper's proposal);
+//!   paper's proposal), so its row reuses the stock run of the case;
 //! * **trust-tiers** — the [`btc_node::banscore::ReputationEngine`]:
 //!   weighted penalties, sim-time decay, graylist soft-bans, hard ban only
 //!   from within the graylist.
@@ -271,7 +271,6 @@ fn node_for(policy: &str) -> NodeConfig {
         reconnect_backoff_cap: 8 * SECS,
         peer_policy: match policy {
             "stock" => PeerPolicy::Stock,
-            "detector" => PeerPolicy::Detector,
             "trust-tiers" => PeerPolicy::TrustTiers,
             other => panic!("unknown policy {other}"),
         },
@@ -522,8 +521,8 @@ pub fn run_reputation(cfg: &ReputationSweepConfig) -> ReputationResult {
     run_reputation_jobs(cfg, 1)
 }
 
-/// Runs the sweep with every `(case, policy)` pair fanned across `jobs`
-/// workers. Results are byte-identical for any job count.
+/// Runs the sweep with every simulated `(case, policy)` pair fanned across
+/// `jobs` workers. Results are byte-identical for any job count.
 ///
 /// # Panics
 ///
@@ -548,15 +547,23 @@ pub fn run_reputation_jobs(cfg: &ReputationSweepConfig, jobs: usize) -> Reputati
     let cases = cfg.cases();
     let pairs: Vec<(SweepCase, &'static str)> = cases
         .iter()
-        .flat_map(|c| POLICIES.iter().map(move |p| (*c, *p)))
+        .flat_map(|c| ["stock", "trust-tiers"].map(|p| (*c, p)))
         .collect();
     let runs = btc_par::par_map(jobs, pairs.clone(), |(case, policy)| {
         run_case(policy, case, cfg)
     });
-    let rows = pairs
+    let rows = cases
         .iter()
-        .zip(runs)
-        .map(|((case, policy), data)| {
+        .flat_map(|c| POLICIES.map(|p| (*c, p)))
+        .map(|(case, policy)| {
+            // The detector only observes: its row reads the stock run.
+            let simulated = if policy == "detector" {
+                "stock"
+            } else {
+                policy
+            };
+            let run = pairs.iter().position(|p| *p == (case, simulated));
+            let data = &runs[run.expect("simulated")];
             let detection = engine.detect(&profile, &data.aggregate);
             let latency_s = data
                 .windows

@@ -39,6 +39,7 @@ pub const PEER_INPUT_FILES: &[&str] = &[
     // node message handlers and the state they drive
     "crates/node/src/node.rs",
     "crates/node/src/node/recv.rs",
+    "crates/node/src/node/policy.rs",
     "crates/node/src/peer.rs",
     "crates/node/src/chain.rs",
     "crates/node/src/mempool.rs",
@@ -352,6 +353,7 @@ mod tests {
         assert!(is_recv_path("crates/wire/src/drain.rs"));
         assert!(!is_recv_path("crates/node/src/node.rs"));
         assert!(is_peer_input("crates/node/src/node/recv.rs"));
+        assert!(is_peer_input("crates/node/src/node/policy.rs"));
         assert!(is_peer_input("crates/wire/src/drain.rs"));
     }
 

@@ -595,25 +595,11 @@ impl ReputationEngine {
         inbound: bool,
         rule: Misbehavior,
     ) -> StrikeOutcome {
-        if !rule.applies_to(inbound) {
-            let t = self.tier(now, &peer);
-            return StrikeOutcome {
-                applied: 0.0,
-                score: self.score(now, &peer),
-                from: t,
-                to: t,
-            };
-        }
-        let Some(points) = self.config.strike_points(rule) else {
-            let t = self.tier(now, &peer);
-            return StrikeOutcome {
-                applied: 0.0,
-                score: self.score(now, &peer),
-                from: t,
-                to: t,
-            };
-        };
-        self.strike(now, peer, points)
+        let points = self
+            .config
+            .strike_points(rule)
+            .filter(|_| rule.applies_to(inbound));
+        self.strike_unless_zero(now, peer, points.unwrap_or(0.0))
     }
 
     /// Applies a raw strike outside Table I (the checksum-ablation hook),
@@ -623,6 +609,12 @@ impl ReputationEngine {
             PenaltyWeights::Tiered => tier_weight_of_penalty(stock_points).points(),
             PenaltyWeights::Stock => f64::from(stock_points),
         };
+        self.strike_unless_zero(now, peer, points)
+    }
+
+    /// [`Self::strike`], except that zero points (a gated-off rule) leave
+    /// the peer's state untouched.
+    fn strike_unless_zero(&mut self, now: Nanos, peer: SockAddr, points: f64) -> StrikeOutcome {
         if points == 0.0 {
             let t = self.tier(now, &peer);
             return StrikeOutcome {

@@ -88,35 +88,21 @@ impl MisbehaviorTracker {
         inbound: bool,
         rule: Misbehavior,
     ) -> Verdict {
-        if self.policy == BanPolicy::Disabled {
-            return Verdict::Ignored;
-        }
-        if !rule.applies_to(inbound) {
-            return Verdict::Ignored;
-        }
-        let Some(delta) = rule.penalty(self.version) else {
-            return Verdict::Ignored;
-        };
-        let score = self.scores.entry(peer).or_insert(0);
-        *score = score.saturating_add(delta);
-        let total = *score;
-        self.events.push(ScoreEvent {
-            time: now,
-            peer,
-            rule,
-            delta,
-            total,
-        });
-        if total >= self.threshold && self.policy == BanPolicy::Standard {
-            Verdict::Ban { total }
-        } else {
-            Verdict::Scored { total }
-        }
+        let delta = rule
+            .penalty(self.version)
+            .filter(|_| rule.applies_to(inbound));
+        self.add(now, peer, rule, delta.unwrap_or(0))
     }
 
     /// Applies a custom score increment outside Table I (ablation hook for
     /// counterfactual rules like punishing corrupted checksums).
     pub fn penalize(&mut self, now: Nanos, peer: SockAddr, delta: u32) -> Verdict {
+        self.add(now, peer, Misbehavior::ChecksumCorrupt, delta)
+    }
+
+    /// Adds `delta` points for `rule` to `peer`'s score; zero points (a
+    /// gated-off rule) and the disabled policy change nothing.
+    fn add(&mut self, now: Nanos, peer: SockAddr, rule: Misbehavior, delta: u32) -> Verdict {
         if self.policy == BanPolicy::Disabled || delta == 0 {
             return Verdict::Ignored;
         }
@@ -126,7 +112,7 @@ impl MisbehaviorTracker {
         self.events.push(ScoreEvent {
             time: now,
             peer,
-            rule: Misbehavior::ChecksumCorrupt,
+            rule,
             delta,
             total,
         });
@@ -162,6 +148,10 @@ impl MisbehaviorTracker {
 /// idle peer holds eviction immunity forever — exactly the brittleness
 /// the trust-tier engine is meant to remove.
 pub const GOOD_SCORE_CAP: u64 = 64;
+
+/// Credit a peer needs before the good-score policy shields it from
+/// strikes (one valid block).
+pub const GOOD_SCORE_MIN_CREDIT: u64 = 1;
 
 /// Credit half-life on sim time: stored credit halves once per hour of
 /// inactivity (integer halving, so the decay is exact and deterministic).
@@ -211,18 +201,6 @@ impl GoodScoreTracker {
     /// Whether `peer` has enough credit to be shielded from banning.
     pub fn is_trusted(&self, now: Nanos, peer: &SockAddr, min_credit: u64) -> bool {
         self.score(now, peer) >= min_credit
-    }
-
-    /// The peer with the lowest credit among `candidates` (eviction choice).
-    pub fn eviction_candidate<'a>(
-        &self,
-        now: Nanos,
-        candidates: impl IntoIterator<Item = &'a SockAddr>,
-    ) -> Option<SockAddr> {
-        candidates
-            .into_iter()
-            .min_by_key(|p| (self.score(now, p), **p))
-            .copied()
     }
 }
 
@@ -365,17 +343,6 @@ mod tests {
         assert_eq!(g.score(0, &p), 3);
         assert!(g.is_trusted(0, &p, 3));
         assert!(!g.is_trusted(0, &p, 4));
-    }
-
-    #[test]
-    fn good_score_eviction_prefers_lowest_credit() {
-        let mut g = GoodScoreTracker::new();
-        let a = peer(1);
-        let b = peer(2);
-        g.credit(0, a);
-        g.credit(0, a);
-        g.credit(0, b);
-        assert_eq!(g.eviction_candidate(0, [&a, &b]), Some(b));
     }
 
     #[test]

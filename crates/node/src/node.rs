@@ -16,7 +16,7 @@ use crate::addrman::{AddrMan, AddrSource};
 use crate::banman::BanMan;
 use crate::banscore::{
     BanPolicy, CoreVersion, GoodScoreTracker, Misbehavior, MisbehaviorTracker, ReputationConfig,
-    ReputationEngine, StrikeOutcome, Tier, Verdict,
+    ReputationEngine, Tier,
 };
 use crate::chain::{BlockVerdict, Chain, HeaderVerdict};
 use crate::cost::CostModel;
@@ -41,6 +41,7 @@ use btc_wire::types::{
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 
+mod policy;
 mod recv;
 
 /// Timer tokens used by the node.
@@ -53,17 +54,17 @@ mod timers {
     pub const PING: u64 = 3;
 }
 
-/// Which reputation mechanism governs peer misbehavior.
+/// Which reputation mechanism governs peer misbehavior. Every decision
+/// that depends on it lives in `node/policy.rs`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PeerPolicy {
     /// The stock banscore mechanism: Table-I points, 100 → 24 h hard ban.
     #[default]
     Stock,
-    /// Stock banscore plus the paper's §VII detection engine. The node
-    /// itself behaves exactly like [`PeerPolicy::Stock`]; the detection
-    /// loop runs scenario-side over telemetry windows (`btc_detect`), and
-    /// this label routes the three-way `repro reputation` sweep.
-    Detector,
+    /// Stock banscore plus the §VIII good-score countermeasure: peers earn
+    /// credit per valid block, credited peers are never struck, and slot
+    /// pressure evicts the lowest-credit inbound peer instead of refusing.
+    GoodScore,
     /// The trust-tier reputation engine
     /// ([`crate::banscore::ReputationEngine`]): weighted penalties, decay,
     /// graylist soft-bans, hard ban only as a last resort.
@@ -104,10 +105,6 @@ pub struct NodeConfig {
     /// Keepalive ping round interval (0 disables; Bitcoin pings every
     /// 2 minutes).
     pub ping_interval: Nanos,
-    /// Enable the §VIII good-score countermeasure.
-    pub good_score: bool,
-    /// Credit needed for good-score shielding.
-    pub good_score_min_credit: u64,
     /// Processing cost model.
     pub cost: CostModel,
     /// Charge the calibrated interference overhead per delivered message
@@ -159,8 +156,6 @@ impl Default for NodeConfig {
             miner_enabled: false,
             miner_sample_interval: SECS,
             ping_interval: 120 * SECS,
-            good_score: false,
-            good_score_min_credit: 1,
             cost: CostModel::default(),
             charge_interference: false,
             punish_bad_checksum_score: None,
@@ -188,9 +183,9 @@ pub struct PeerInfo {
     pub messages_received: u64,
     /// Current misbehavior score.
     pub ban_score: u32,
-    /// Current good-score credit.
+    /// Good-behaviour credit the active policy keeps for the peer.
     pub good_score: u64,
-    /// Current trust tier (always `Normal` under the stock policy).
+    /// Current trust tier (always `Normal` outside trust tiers).
     pub tier: Tier,
 }
 
@@ -203,7 +198,8 @@ pub struct Node {
     pub tracker: MisbehaviorTracker,
     /// Ban list.
     pub banman: BanMan,
-    /// Good-score credits (§VIII).
+    /// Good-score credits (§VIII; credited only under
+    /// [`PeerPolicy::GoodScore`]).
     pub goodscore: GoodScoreTracker,
     /// Trust-tier reputation engine (consulted only under
     /// [`PeerPolicy::TrustTiers`]).
@@ -296,18 +292,15 @@ impl Node {
     pub fn peer_infos(&self) -> Vec<PeerInfo> {
         self.peers
             .values()
-            .map(|p| PeerInfo {
+            .map(|p| (p, self.peer_standing(&p.addr)))
+            .map(|(p, (good_score, tier))| PeerInfo {
                 addr: p.addr,
                 inbound: p.inbound,
                 handshake_complete: p.handshake_complete(),
                 messages_received: p.messages_received,
                 ban_score: self.tracker.score(&p.addr),
-                good_score: self.goodscore.score(self.now, &p.addr),
-                tier: if self.config.peer_policy == PeerPolicy::TrustTiers {
-                    self.reputation.tier(self.now, &p.addr)
-                } else {
-                    Tier::Normal
-                },
+                good_score,
+                tier,
             })
             .collect()
     }
@@ -384,99 +377,6 @@ impl Node {
         self.send_message(ctx, conn, &Message::Version(v));
     }
 
-    /// Whether the trust-tier engine governs this node's peers.
-    fn tiers_active(&self) -> bool {
-        self.config.peer_policy == PeerPolicy::TrustTiers
-    }
-
-    /// Forwards tier transitions recorded by the engine since the last
-    /// call into telemetry (so `events_in_window` carries them).
-    fn note_tier_events(&mut self) {
-        for t in self.reputation.take_transitions() {
-            self.telemetry.record_tier_change(t.time, t.peer, t.from, t.to);
-        }
-    }
-
-    /// Applies a tier-engine strike outcome against the connection:
-    /// telemetry for graylist entry, `BanMan` + disconnect for a hard ban.
-    /// Returns `true` when the peer was hard-banned.
-    fn apply_tier_outcome(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        conn: ConnId,
-        addr: SockAddr,
-        outcome: &StrikeOutcome,
-    ) -> bool {
-        self.note_tier_events();
-        if outcome.graylisted() {
-            self.telemetry.graylists += 1;
-        }
-        if outcome.banned() {
-            self.telemetry.bans += 1;
-            self.banman.ban(self.now, addr);
-            self.disconnect(ctx, conn, true);
-            return true;
-        }
-        false
-    }
-
-    /// Ablation hook: applies a raw score increment outside Table I (used
-    /// by `punish_bad_checksum_score`).
-    fn punish_raw(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, points: u32) {
-        let Some(peer) = self.peers.get(&conn) else {
-            return;
-        };
-        let addr = peer.addr;
-        if self.tiers_active() {
-            let outcome = self.reputation.strike_raw(self.now, addr, points);
-            self.apply_tier_outcome(ctx, conn, addr, &outcome);
-            return;
-        }
-        if self.config.good_score
-            && self
-                .goodscore
-                .is_trusted(self.now, &addr, self.config.good_score_min_credit)
-        {
-            return;
-        }
-        if let Verdict::Ban { .. } = self.tracker.penalize(self.now, addr, points) {
-            self.telemetry.bans += 1;
-            self.banman.ban(self.now, addr);
-            self.disconnect(ctx, conn, true);
-        }
-    }
-
-    /// Applies a Table-I rule against a peer; disconnects and bans when the
-    /// threshold is crossed. Returns `true` when the peer was banned.
-    fn misbehaving(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, rule: Misbehavior) -> bool {
-        let Some(peer) = self.peers.get(&conn) else {
-            return false;
-        };
-        let (addr, inbound) = (peer.addr, peer.inbound);
-        if self.tiers_active() {
-            let outcome = self.reputation.on_misbehavior(self.now, addr, inbound, rule);
-            return self.apply_tier_outcome(ctx, conn, addr, &outcome);
-        }
-        // Good-score shield (§VIII): peers with earned credit are exempt
-        // from identifier banning.
-        if self.config.good_score
-            && self
-                .goodscore
-                .is_trusted(self.now, &addr, self.config.good_score_min_credit)
-        {
-            return false;
-        }
-        match self.tracker.misbehaving(self.now, addr, inbound, rule) {
-            Verdict::Ban { .. } => {
-                self.telemetry.bans += 1;
-                self.banman.ban(self.now, addr);
-                self.disconnect(ctx, conn, true);
-                true
-            }
-            Verdict::Scored { .. } | Verdict::Ignored => false,
-        }
-    }
-
     fn disconnect(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, local: bool) {
         if let Some(peer) = self.peers.remove(&conn) {
             self.tracker.forget(&peer.addr);
@@ -537,12 +437,10 @@ impl Node {
                         .map_or(true, |&(_, next_ok)| next_ok <= self.now)
             })
             .collect();
-        if self.tiers_active() {
-            // Deprioritize graylisted addresses: they are only dialed when
-            // no better candidate remains (stable sort keeps the addrman
-            // order within each group).
-            candidates.sort_by_key(|a| self.reputation.deprioritized(self.now, a));
-        }
+        // Deprioritized (graylisted) addresses are only dialed when no
+        // better candidate remains (stable sort keeps the addrman order
+        // within each group).
+        candidates.sort_by_key(|a| self.deprioritized(a));
         for addr in candidates {
             if want == 0 {
                 break;
@@ -554,14 +452,13 @@ impl Node {
     }
 
     fn broadcast_inv(&mut self, ctx: &mut Ctx<'_>, inv: Inventory, except: Option<ConnId>) {
-        let tiers = self.tiers_active();
         let targets: Vec<(ConnId, bool)> = self
             .peers
             .values()
             .filter(|p| p.handshake_complete() && Some(p.conn) != except)
             // Graylisted peers are dropped from relay for the duration of
             // the soft-ban.
-            .filter(|p| !tiers || !self.reputation.deprioritized(self.now, &p.addr))
+            .filter(|p| !self.deprioritized(&p.addr))
             .map(|p| (p.conn, p.cmpct_announce))
             .collect();
         // BIP152 high-bandwidth mode: peers that negotiated it get new
@@ -608,7 +505,7 @@ impl Node {
             Message::NotFound(_) | Message::Reject(_) | Message::MerkleBlock(_) => {}
             Message::Addr(addrs) => {
                 if addrs.len() as u64 > MAX_ADDR_TO_SEND {
-                    self.misbehaving(ctx, conn, Misbehavior::AddrOversize);
+                    self.strike(ctx, conn, Misbehavior::AddrOversize);
                     return;
                 }
                 for a in addrs {
@@ -630,7 +527,7 @@ impl Node {
             }
             Message::Inv(invs) => {
                 if invs.len() as u64 > MAX_INV_SZ {
-                    self.misbehaving(ctx, conn, Misbehavior::InvOversize);
+                    self.strike(ctx, conn, Misbehavior::InvOversize);
                     return;
                 }
                 let mut wanted = Vec::new();
@@ -652,7 +549,7 @@ impl Node {
             }
             Message::GetData(invs) => {
                 if invs.len() as u64 > MAX_INV_SZ {
-                    self.misbehaving(ctx, conn, Misbehavior::GetDataOversize);
+                    self.strike(ctx, conn, Misbehavior::GetDataOversize);
                     return;
                 }
                 let mut not_found = Vec::new();
@@ -745,7 +642,7 @@ impl Node {
             }
             Message::Headers(entries) => {
                 if entries.len() as u64 > MAX_HEADERS_RESULTS {
-                    self.misbehaving(ctx, conn, Misbehavior::HeadersOversize);
+                    self.strike(ctx, conn, Misbehavior::HeadersOversize);
                     return;
                 }
                 let Some(first_parent) = entries.first().map(|e| e.0.prev_block) else {
@@ -760,7 +657,7 @@ impl Node {
                         return;
                     };
                     if strikes % MAX_UNCONNECTING_HEADERS == 0 {
-                        self.misbehaving(ctx, conn, Misbehavior::HeadersUnconnecting);
+                        self.strike(ctx, conn, Misbehavior::HeadersUnconnecting);
                     }
                     return;
                 }
@@ -768,7 +665,7 @@ impl Node {
                 let mut prev = first_parent;
                 for e in &entries {
                     if e.0.prev_block != prev {
-                        self.misbehaving(ctx, conn, Misbehavior::HeadersNonContinuous);
+                        self.strike(ctx, conn, Misbehavior::HeadersNonContinuous);
                         return;
                     }
                     prev = e.0.hash();
@@ -793,7 +690,7 @@ impl Node {
                 let txid = tx.txid();
                 match self.mempool.accept(&tx) {
                     TxVerdict::InvalidSegwit(_) => {
-                        self.misbehaving(ctx, conn, Misbehavior::TxInvalidSegwit);
+                        self.strike(ctx, conn, Misbehavior::TxInvalidSegwit);
                     }
                     TxVerdict::Accepted => {
                         self.broadcast_inv(ctx, Inventory::new(InvType::Tx, txid), Some(conn));
@@ -816,7 +713,7 @@ impl Node {
             }
             Message::FilterLoad(f) => {
                 if !f.is_within_size_constraints() {
-                    self.misbehaving(ctx, conn, Misbehavior::FilterLoadOversize);
+                    self.strike(ctx, conn, Misbehavior::FilterLoadOversize);
                     return;
                 }
                 if let Some(p) = self.peers.get_mut(&conn) {
@@ -825,7 +722,7 @@ impl Node {
             }
             Message::FilterAdd(fa) => {
                 if !fa.is_within_size_constraints() {
-                    self.misbehaving(ctx, conn, Misbehavior::FilterAddOversize);
+                    self.strike(ctx, conn, Misbehavior::FilterAddOversize);
                     return;
                 }
                 let has_filter = self
@@ -836,7 +733,7 @@ impl Node {
                 if !has_filter {
                     // 0.20.0: FILTERADD without a loaded filter from a
                     // >=70011 peer is a 100-point misbehavior.
-                    self.misbehaving(ctx, conn, Misbehavior::FilterAddProtocolVersion);
+                    self.strike(ctx, conn, Misbehavior::FilterAddProtocolVersion);
                     return;
                 }
                 if let Some(p) = self.peers.get_mut(&conn) {
@@ -867,7 +764,7 @@ impl Node {
             }
             Message::CmpctBlock(cb) => {
                 if cb.check().is_err() {
-                    self.misbehaving(ctx, conn, Misbehavior::CmpctBlockInvalid);
+                    self.strike(ctx, conn, Misbehavior::CmpctBlockInvalid);
                     return;
                 }
                 let keys = short_id_keys(&cb.header, cb.nonce);
@@ -893,7 +790,7 @@ impl Node {
                 match req.absolute_indices(block.txs.len() as u64) {
                     Err(_) => {
                         // Table I: out-of-bounds indices, +100.
-                        self.misbehaving(ctx, conn, Misbehavior::GetBlockTxnOutOfBounds);
+                        self.strike(ctx, conn, Misbehavior::GetBlockTxnOutOfBounds);
                     }
                     Ok(idxs) => {
                         // `absolute_indices` bounds-checked against the tx
@@ -905,11 +802,7 @@ impl Node {
                             match block.txs.get(*i as usize) {
                                 Some(tx) => txs.push(tx.clone()),
                                 None => {
-                                    self.misbehaving(
-                                        ctx,
-                                        conn,
-                                        Misbehavior::GetBlockTxnOutOfBounds,
-                                    );
+                                    self.strike(ctx, conn, Misbehavior::GetBlockTxnOutOfBounds);
                                     return;
                                 }
                             }
@@ -953,15 +846,7 @@ impl Node {
         match self.chain.accept_block(block) {
             BlockVerdict::Accepted { .. } => {
                 if let Some(addr) = self.peers.get(&conn).map(|p| p.addr) {
-                    if self.config.good_score {
-                        self.goodscore.credit(self.now, addr);
-                    }
-                    if self.tiers_active() {
-                        // Good behaviour: credit promotion + strike
-                        // forgiveness in the tier engine.
-                        self.reputation.on_good_block(self.now, addr);
-                        self.note_tier_events();
-                    }
+                    self.credit_good_block(addr);
                 }
                 for tx in &block.txs {
                     self.mempool.remove(&tx.txid());
@@ -969,18 +854,10 @@ impl Node {
                 self.broadcast_inv(ctx, Inventory::new(InvType::Block, hash), Some(conn));
             }
             BlockVerdict::Duplicate => {}
-            BlockVerdict::Mutated(_) => {
-                self.misbehaving(ctx, conn, Misbehavior::BlockMutated);
-            }
-            BlockVerdict::CachedInvalid => {
-                self.misbehaving(ctx, conn, Misbehavior::BlockCachedInvalid);
-            }
-            BlockVerdict::PrevInvalid => {
-                self.misbehaving(ctx, conn, Misbehavior::BlockPrevInvalid);
-            }
-            BlockVerdict::PrevMissing => {
-                self.misbehaving(ctx, conn, Misbehavior::BlockPrevMissing);
-            }
+            BlockVerdict::Mutated(_) => self.strike(ctx, conn, Misbehavior::BlockMutated),
+            BlockVerdict::CachedInvalid => self.strike(ctx, conn, Misbehavior::BlockCachedInvalid),
+            BlockVerdict::PrevInvalid => self.strike(ctx, conn, Misbehavior::BlockPrevInvalid),
+            BlockVerdict::PrevMissing => self.strike(ctx, conn, Misbehavior::BlockPrevMissing),
         }
     }
 
@@ -997,7 +874,7 @@ impl Node {
             Message::Version(v) => {
                 if has_version {
                     // Table I: duplicate VERSION, +1 (inbound only).
-                    self.misbehaving(ctx, conn, Misbehavior::DuplicateVersion);
+                    self.strike(ctx, conn, Misbehavior::DuplicateVersion);
                     return true;
                 }
                 if let Some(p) = self.peers.get_mut(&conn) {
@@ -1020,7 +897,7 @@ impl Node {
                 if !has_version {
                     // A VERACK before VERSION is still "message before
                     // VERSION".
-                    self.misbehaving(ctx, conn, Misbehavior::MessageBeforeVersion);
+                    self.strike(ctx, conn, Misbehavior::MessageBeforeVersion);
                     return true;
                 }
                 if let Some(p) = self.peers.get_mut(&conn) {
@@ -1031,12 +908,12 @@ impl Node {
             _ => {
                 if !has_version {
                     // Table I: message before VERSION, +1.
-                    self.misbehaving(ctx, conn, Misbehavior::MessageBeforeVersion);
+                    self.strike(ctx, conn, Misbehavior::MessageBeforeVersion);
                     return true;
                 }
                 if !got_verack {
                     // Table I (0.20.0 only): message before VERACK, +1.
-                    self.misbehaving(ctx, conn, Misbehavior::MessageBeforeVerack);
+                    self.strike(ctx, conn, Misbehavior::MessageBeforeVerack);
                     return true;
                 }
                 false
@@ -1068,11 +945,10 @@ impl App for Node {
         // Count half-open accepts too: a burst of SYNs must not overshoot
         // the slot limit before any handshake completes.
         if self.inbound_count() + self.half_open_inbound >= self.config.max_inbound {
-            // Under the good-score countermeasure (and the trust-tier
-            // policy) the node runs CKB-style eviction instead of
-            // refusing: accept, then evict the worst-standing inbound peer
-            // (§IX-A).
-            if !self.config.good_score && self.config.peer_policy != PeerPolicy::TrustTiers {
+            // Under the good-score and trust-tier policies the node runs
+            // CKB-style eviction instead of refusing: accept, then evict
+            // the worst-standing inbound peer (§IX-A).
+            if !self.evicts_on_full() {
                 return false;
             }
         }
@@ -1087,43 +963,10 @@ impl App for Node {
         self.peers.insert(conn, state);
         if inbound {
             self.half_open_inbound = self.half_open_inbound.saturating_sub(1);
-            let evicting = self.config.good_score || self.tiers_active();
-            if evicting && self.inbound_count() > self.config.max_inbound {
-                // Slot pressure: evict the inbound peer with the least
-                // earned credit (ties broken deterministically). A fresh
-                // zero-credit connection evicts itself before it can push
-                // out anyone with history. Under the trust-tier policy
-                // graylisted peers are the first eviction choice, then
-                // lowest engine credit.
-                let candidates: Vec<SockAddr> = self
-                    .peers
-                    .values()
-                    .filter(|p| p.inbound)
-                    .map(|p| p.addr)
-                    .collect();
-                let victim = if self.tiers_active() {
-                    candidates
-                        .iter()
-                        .min_by_key(|a| {
-                            (
-                                !self.reputation.deprioritized(self.now, a),
-                                self.reputation.credit_tracker().score(self.now, a),
-                                **a,
-                            )
-                        })
-                        .copied()
-                } else {
-                    self.goodscore.eviction_candidate(self.now, candidates.iter())
-                };
-                if let Some(victim) = victim {
-                    if let Some(victim_conn) =
-                        self.peers.values().find(|p| p.addr == victim).map(|p| p.conn)
-                    {
-                        self.disconnect(ctx, victim_conn, true);
-                        if victim_conn == conn {
-                            return;
-                        }
-                    }
+            if let Some(victim) = self.eviction_victim() {
+                self.disconnect(ctx, victim, true);
+                if victim == conn {
+                    return;
                 }
             }
         }

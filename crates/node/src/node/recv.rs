@@ -27,8 +27,8 @@
 //! `NodeConfig::recv_buffer_limit` is disconnected: a valid stream can
 //! never buffer more than one incomplete frame.
 
-use super::{Node, PeerPolicy};
-use crate::banscore::Tier;
+use super::policy::Strike;
+use super::Node;
 use crate::metrics::msg_type_id;
 use btc_netsim::sim::Ctx;
 use btc_netsim::tcp::ConnId;
@@ -90,35 +90,14 @@ impl Node {
                 if let Some(points) = self.config.punish_bad_checksum_score {
                     // Counterfactual design (ablation): treat a
                     // checksum-corrupt frame as misbehavior.
-                    self.punish_raw(ctx, conn, points);
+                    self.strike(ctx, conn, Strike::Raw(points));
                 }
                 continue;
             }
-            // Trust-tier policy only: account the frame against the peer's
-            // flood-pressure bucket and, for graylisted peers, the service
-            // rate limit — before the node pays the decode cost. A no-op
-            // under the stock policy, keeping its digests bit-identical.
-            if self.config.peer_policy == PeerPolicy::TrustTiers {
-                let Some(addr) = self.peers.get(&conn).map(|p| p.addr) else {
-                    break;
-                };
-                let outcome = self.reputation.on_message(self.now, addr);
-                self.note_tier_events();
-                if outcome.changed() && outcome.to == Tier::Graylist {
-                    self.telemetry.graylists += 1;
-                }
-                if outcome.banned() {
-                    self.telemetry.bans += 1;
-                    self.banman.ban(self.now, addr);
-                    self.disconnect(ctx, conn, true);
-                    continue;
-                }
-                if !outcome.deliver {
-                    // Graylist service rate limit: the frame is dropped
-                    // after the checksum stage, unserviced.
-                    self.telemetry.graylist_dropped += 1;
-                    continue;
-                }
+            // Policy admission (flood pressure, graylist rate limit)
+            // before the node pays the decode cost.
+            if !self.admit_frame(ctx, conn) {
+                continue;
             }
             // Stage 3: decode.
             ctx.charge_cpu(self.config.cost.decode_cost(raw.payload.len()));

@@ -7,7 +7,7 @@ use btc_netsim::sim::{App, Ctx, HostConfig, SimConfig, Simulator};
 use btc_netsim::tcp::ConnId;
 use btc_netsim::time::{MINUTES, SECS};
 use btc_node::chain::mine_child;
-use btc_node::node::{Node, NodeConfig};
+use btc_node::node::{Node, NodeConfig, PeerPolicy};
 use btc_wire::bloom::{BloomFilter, BloomFlags};
 use btc_wire::drain::FrameAssembler;
 use btc_wire::message::{decode_frame, Message, RawMessage, VersionMessage};
@@ -395,7 +395,7 @@ fn good_score_eviction_protects_peers_with_history() {
     // never the peers that earned credit.
     let mut sim = node_sim(NodeConfig {
         max_inbound: 2,
-        good_score: true,
+        peer_policy: PeerPolicy::GoodScore,
         ..NodeConfig::default()
     });
     // Two honest peers connect and earn credit.
@@ -434,6 +434,33 @@ fn good_score_eviction_protects_peers_with_history() {
         .collect();
     assert_eq!(survivors.len(), 2, "honest peers evicted: {survivors:?}");
     assert!(survivors.contains(&B) && survivors.contains(&C));
+}
+
+#[test]
+fn peer_info_reports_trust_tier_credit() {
+    // Under trust tiers a valid block credits the relaying peer in the
+    // tier engine, and `getpeerinfo` must report that credit.
+    let mut sim = node_sim(NodeConfig {
+        peer_policy: PeerPolicy::TrustTiers,
+        ..NodeConfig::default()
+    });
+    let block = {
+        let node: &Node = sim.app(A).unwrap();
+        let tip = node.chain.tip();
+        mine_child(&node.chain.block(&tip).unwrap().header, tip, 5, vec![])
+    };
+    let hash = block.hash();
+    let probe = Probe::new(addr(A), vec![Message::Block(block)]);
+    sim.add_host(B, Box::new(probe), HostConfig::default());
+    sim.run_for(2 * SECS);
+    let node: &Node = sim.app(A).unwrap();
+    assert_eq!(node.chain.tip(), hash, "block accepted");
+    let infos = node.peer_infos();
+    let info = infos
+        .iter()
+        .find(|i| i.addr.ip == B)
+        .expect("peer connected");
+    assert!(info.good_score > 0, "{info:?}");
 }
 
 #[test]

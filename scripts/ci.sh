@@ -45,6 +45,12 @@ echo "    lint clean: call graph $fn_count functions / $edge_count edges OK"
 echo "==> tests (offline)"
 cargo test -q --offline --workspace
 
+echo "==> benchmark package: builds and passes its tests against the workspace"
+# benchmark/ is its own [workspace] that path-depends on the crates above,
+# so the workspace build never compiles it. Building it here makes a
+# public-API change it consumes fail this gate, not the benchmark run.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> benches compile (offline)"
 cargo bench --offline --workspace --no-run
 
