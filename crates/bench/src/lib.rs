@@ -325,36 +325,26 @@ pub mod csv {
     }
 
     /// The streaming-service study: one row per (engine, shard count,
-    /// case). `digest` is deterministic; the throughput/latency columns
-    /// are wall-clock and vary run to run.
+    /// case). `digest` is deterministic; the throughput and amortized
+    /// cost columns are wall-clock and vary run to run.
     pub fn serve(r: &banscore::scenario::serve::ServeResult) -> String {
         let mut out = String::from(
-            "engine,shards,case,events,verdicts,anomalous,msgs_per_sec,p99_decision_ns,digest\n",
+            "engine,shards,case,events,verdicts,anomalous,msgs_per_sec,ns_per_verdict,digest\n",
         );
         for c in &r.cases {
-            for run in &c.runs {
+            let streaming = c.runs.iter().map(|r| ("streaming", r.shards, r.elapsed_ns, r.digest));
+            let batch = ("batch", 1, c.batch_elapsed_ns, c.batch_digest);
+            for (engine, shards, elapsed_ns, digest) in streaming.chain([batch]) {
                 out.push_str(&format!(
-                    "streaming,{},{},{},{},{},{:.0},{},{:016x}\n",
-                    run.shards,
+                    "{engine},{shards},{},{},{},{},{:.0},{},{digest:016x}\n",
                     c.name,
                     c.events,
                     c.verdicts,
                     c.anomalous,
-                    run.bench.msgs_per_sec,
-                    run.bench.p99_decision_ns,
-                    run.digest
+                    c.msgs_per_sec(elapsed_ns),
+                    c.ns_per_verdict(elapsed_ns),
                 ));
             }
-            out.push_str(&format!(
-                "batch,1,{},{},{},{},{:.0},{},{:016x}\n",
-                c.name,
-                c.events,
-                c.verdicts,
-                c.anomalous,
-                c.batch.msgs_per_sec,
-                c.batch.p99_decision_ns,
-                c.batch_digest
-            ));
         }
         out
     }

@@ -111,6 +111,17 @@ mod tests {
     }
 
     #[test]
+    fn interference_dominated_by_wakeup_for_small_messages() {
+        let m = ContentionModel::default();
+        // One 8-byte PING per second costs little beyond its wake-up.
+        let ping = m.app_layer_load(1, 8, 1.0);
+        assert!(ping < m.app_layer_load(1, 0, 1.0) * 1.001);
+        // But large payloads add real cost.
+        let block = m.app_layer_load(1, 1_000_000, 1.0);
+        assert!(block > 5.0 * ping);
+    }
+
+    #[test]
     fn calibration_point_bogus_block_single_connection() {
         // 1 connection, 200 kB bogus blocks at the 1000 msg/s socket cap.
         let m = ContentionModel::default();

@@ -17,20 +17,20 @@
 //!   Figure 10 from the event stream.
 //!
 //! All digest/verdict output is deterministic; only the `[wall]` lines
-//! (throughput, decision latency) vary run to run.
+//! (throughput and amortized cost of whole `run_service` /
+//! `batch_verdicts` calls, timed here) vary run to run.
 
 use crate::scenario::fig10::{run_case_testbed, run_training_testbed, Fig10Config, CASES, SETTLE};
 use btc_detect::engine::{AnalysisEngine, Detection, Profile};
 use btc_detect::features::TrafficWindow;
 use btc_detect::serve::{
-    bench_batch, bench_service, run_service, verdict_agreement, verdict_digest, PeerKey,
-    ServeBench, ServeOutput, TraceEvent, TraceEventKind, TraceSpan,
+    batch_verdicts, group_windows, run_service, verdict_agreement, verdict_digest, PeerKey,
+    ServeOutput, TraceEvent, TraceEventKind, TraceSpan,
 };
 use btc_detect::streaming::StreamingEngine;
 use btc_netsim::packet::SockAddr;
 use btc_netsim::time::{Nanos, MINUTES};
 use btc_node::metrics::{Telemetry, TelemetryEventKind};
-use std::collections::BTreeMap;
 
 /// The shard counts every case is measured at.
 pub const SHARDS: [usize; 3] = [1, 2, 4];
@@ -93,27 +93,10 @@ pub fn per_peer_windows(
     span: TraceSpan,
     window_len: Nanos,
 ) -> Vec<TrafficWindow> {
-    let total = span.windows(window_len);
-    let minutes = window_len as f64 / MINUTES as f64;
-    let mut grouped: BTreeMap<PeerKey, Vec<TrafficWindow>> = BTreeMap::new();
-    for ev in trace {
-        if ev.time < span.start || ev.time >= span.start + total * window_len {
-            continue;
-        }
-        let idx = ((ev.time - span.start) / window_len) as usize;
-        let windows = grouped
-            .entry(ev.peer)
-            .or_insert_with(|| vec![TrafficWindow::empty(minutes); total as usize]);
-        match ev.kind {
-            TraceEventKind::Message(ty) => {
-                if let Some(slot) = windows[idx].counts.get_mut(ty as usize) {
-                    *slot += 1;
-                }
-            }
-            TraceEventKind::Reconnect => windows[idx].reconnects += 1,
-        }
-    }
-    grouped.into_values().flatten().collect()
+    group_windows(trace, span, window_len)
+        .into_values()
+        .flatten()
+        .collect()
 }
 
 /// One shard count's measurement of a case.
@@ -121,8 +104,9 @@ pub fn per_peer_windows(
 pub struct ShardRun {
     /// Shard count.
     pub shards: usize,
-    /// Wall-clock measurements (vary run to run).
-    pub bench: ServeBench,
+    /// Wall-clock nanoseconds of the whole `run_service` call (varies run
+    /// to run).
+    pub elapsed_ns: u64,
     /// Deterministic verdict digest (must equal every other shard
     /// count's).
     pub digest: u64,
@@ -145,9 +129,9 @@ pub struct ServeCase {
     pub digests_agree: bool,
     /// The per-shard runs, in [`SHARDS`] order.
     pub runs: Vec<ShardRun>,
-    /// Wall-clock of the batch group-then-score pipeline on the same
-    /// trace.
-    pub batch: ServeBench,
+    /// Wall-clock nanoseconds of the batch group-then-score pipeline on
+    /// the same trace.
+    pub batch_elapsed_ns: u64,
     /// Digest of the batch pipeline's verdicts.
     pub batch_digest: u64,
     /// Streaming-vs-batch verdict agreement `(matching, total)`.
@@ -158,6 +142,23 @@ pub struct ServeCase {
     /// The batch engine's verdict on the case's aggregate window —
     /// exactly Figure 10's detection column.
     pub aggregate_batch: Detection,
+}
+
+impl ServeCase {
+    /// Ingest throughput of a call that took `elapsed_ns`: trace events
+    /// per wall-clock second.
+    pub fn msgs_per_sec(&self, elapsed_ns: u64) -> f64 {
+        if elapsed_ns == 0 {
+            return 0.0;
+        }
+        self.events as f64 * 1e9 / elapsed_ns as f64
+    }
+
+    /// Amortized wall-clock cost of one `(peer, window)` verdict in a call
+    /// that took `elapsed_ns` (streaming and batch score the same cells).
+    pub fn ns_per_verdict(&self, elapsed_ns: u64) -> u64 {
+        elapsed_ns.checked_div(self.verdicts).unwrap_or(0)
+    }
 }
 
 /// The full `serve` result.
@@ -230,11 +231,12 @@ fn serve_case(
     let mut reference: Option<ServeOutput> = None;
     let mut digests_agree = true;
     for shards in SHARDS {
-        // lint:allow(wallclock): bench timing only; verdict digests are compared across shard counts below
-        let (out, bench) = bench_service(streaming, &trace, span, shards);
+        // lint:allow(wallclock): times the whole call; verdict digests are compared across shard counts below
+        let started = std::time::Instant::now();
+        let out = run_service(streaming, &trace, span, shards);
         runs.push(ShardRun {
             shards,
-            bench,
+            elapsed_ns: started.elapsed().as_nanos() as u64,
             digest: out.digest,
         });
         match &reference {
@@ -245,14 +247,15 @@ fn serve_case(
     let reference = reference.expect("at least one shard count");
 
     // ---- The batch pipeline on the same trace.
-    // lint:allow(wallclock): bench timing only; batch verdicts feed the digest-checked agreement
-    let (batch, batch_bench) = bench_batch(&streaming.profile, engine, &trace, span, cfg.window);
+    // lint:allow(wallclock): times the whole call; batch verdicts feed the digest-checked agreement
+    let started = std::time::Instant::now();
+    let batch = batch_verdicts(&streaming.profile, engine, &trace, span, cfg.window);
+    let batch_elapsed_ns = started.elapsed().as_nanos() as u64;
     let agreement = verdict_agreement(&reference.verdicts, &batch);
 
     // ---- Node-aggregate: one pseudo-peer, one window, Figure-10 profile.
     let agg_trace: Vec<TraceEvent> = trace.iter().map(|e| TraceEvent { peer: 0, ..*e }).collect();
     let agg_engine = StreamingEngine::new(node_profile.clone(), end - SETTLE);
-    // lint:allow(wallclock): run_service times internally for its bench stats; verdicts are deterministic
     let agg = run_service(&agg_engine, &agg_trace, span, 1);
     let aggregate_streaming = agg
         .verdicts
@@ -271,7 +274,7 @@ fn serve_case(
         anomalous: reference.anomalous,
         digests_agree,
         runs,
-        batch: batch_bench,
+        batch_elapsed_ns,
         batch_digest: verdict_digest(&batch),
         agreement,
         aggregate_streaming,
@@ -334,23 +337,16 @@ pub fn render_serve(r: &ServeResult) -> String {
             }
         )
         .unwrap();
-        for run in &c.runs {
+        let walls = c.runs.iter().map(|r| (format!("shards={}", r.shards), r.elapsed_ns));
+        for (label, elapsed_ns) in walls.chain([("batch".to_owned(), c.batch_elapsed_ns)]) {
             writeln!(
                 out,
-                "  [wall] shards={} {:>12.0} msg/s  p50 {} ns  p99 {} ns",
-                run.shards,
-                run.bench.msgs_per_sec,
-                run.bench.p50_decision_ns,
-                run.bench.p99_decision_ns
+                "  [wall] {label:<8} {:>12.0} msg/s  {} ns/verdict amortized",
+                c.msgs_per_sec(elapsed_ns),
+                c.ns_per_verdict(elapsed_ns)
             )
             .unwrap();
         }
-        writeln!(
-            out,
-            "  [wall] batch    {:>12.0} msg/s  {} ns/window amortized",
-            c.batch.msgs_per_sec, c.batch.p99_decision_ns
-        )
-        .unwrap();
     }
     out
 }

@@ -45,7 +45,7 @@ pub use eval::{compare_accuracy, Metrics};
 pub use features::{correlation, TrafficWindow, NUM_TYPES};
 pub use latency::{compare_latencies, LatencyRow};
 pub use serve::{
-    bench_batch, bench_service, run_service, verdict_agreement, verdict_digest, PeerKey,
-    PeerVerdict, ServeBench, ServeOutput, TraceEvent, TraceEventKind, TraceSpan,
+    run_service, verdict_agreement, verdict_digest, PeerKey, PeerVerdict, ServeOutput, TraceEvent,
+    TraceEventKind, TraceSpan,
 };
 pub use streaming::{EwmaRate, StreamingEngine, StreamingProfile, StreamingWindow, WindowVerdict};

@@ -1,29 +1,24 @@
 //! The sharded per-peer profile service: detector-as-a-sidecar.
 //!
 //! [`run_service`] partitions per-peer streaming state
-//! ([`crate::streaming::StreamingProfile`]) across `N` worker shards.
-//! Assignment is peer-keyed (`peer % shards`), ingest is one bounded mpsc
-//! channel per shard, and the merge is deterministic — shard outputs are
-//! collected in shard order and verdicts sorted by `(peer, window)` — so
-//! the result is **bit-identical at any shard count** (the same
-//! discipline as `btc-par`'s input-order result slots). Each peer's
-//! events travel one channel in trace order, so its per-peer state
-//! evolves exactly as in a serial run no matter how the OS schedules the
-//! workers.
+//! ([`crate::streaming::StreamingProfile`]) across `N` shards with one
+//! [`btc_par::par_map`] fan-out. Assignment is peer-keyed
+//! (`peer % shards`): every shard scans the shared trace and ingests only
+//! its own peers' events, in trace order, so each peer's state evolves
+//! exactly as in a one-shard run. The merge is deterministic — verdicts
+//! are sorted by `(peer, window)` — so the result is **bit-identical at
+//! any shard count**. At one shard `par_map` runs inline on the caller's
+//! thread.
 //!
-//! [`bench_service`] wraps a run with wall-clock measurement (msgs/sec
-//! ingest throughput, p50/p99 per-decision latency), and
 //! [`batch_verdicts`] runs the same trace through the batch
-//! [`AnalysisEngine`] pipeline — group, then score each window — as the
-//! comparison baseline. Timing never feeds the verdicts: the digest of a
-//! bench run equals the digest of a plain run.
+//! [`AnalysisEngine`] pipeline — group ([`group_windows`]), then score
+//! each window — as the comparison baseline. Nothing here reads a clock:
+//! callers that report throughput time whole calls.
 
 use crate::engine::{AnalysisEngine, Profile, Violation};
 use crate::features::TrafficWindow;
 use crate::streaming::{Nanos, StreamingEngine, StreamingProfile, WindowVerdict};
 use std::collections::BTreeMap;
-use std::sync::mpsc;
-use std::time::Instant;
 
 /// Compact peer identifier (e.g. IPv4 ‖ port packed into the low 48
 /// bits). The service never interprets it beyond shard assignment.
@@ -93,98 +88,33 @@ pub struct ServeOutput {
     pub digest: u64,
 }
 
-/// Wall-clock measurements of one [`bench_service`] run.
-#[derive(Clone, Copy, Debug)]
-pub struct ServeBench {
-    /// Shard count measured.
-    pub shards: usize,
-    /// Events ingested.
-    pub events: u64,
-    /// End-to-end wall time (ingest + scoring + merge) in nanoseconds.
-    pub elapsed_ns: u64,
-    /// Ingest throughput: events per wall-clock second.
-    pub msgs_per_sec: f64,
-    /// Median per-decision (window-close scoring) latency in ns.
-    pub p50_decision_ns: u64,
-    /// 99th-percentile per-decision latency in ns.
-    pub p99_decision_ns: u64,
-}
-
-/// Internal per-shard state while draining its channel.
-struct Shard<'a> {
-    engine: &'a StreamingEngine,
+/// One shard's pass: ingest its peers' events in trace order, then close
+/// every stream at the span end. Returns the shard's verdicts, unsorted.
+fn run_shard<'t>(
+    engine: &StreamingEngine,
     span: TraceSpan,
-    peers: BTreeMap<PeerKey, StreamingProfile>,
-    verdicts: Vec<PeerVerdict>,
-    /// Per-decision latency samples in ns (bench diagnostics only; never
-    /// part of the deterministic output).
-    decision_ns: Vec<u64>,
-    scratch: Vec<WindowVerdict>,
-}
-
-impl<'a> Shard<'a> {
-    fn new(engine: &'a StreamingEngine, span: TraceSpan) -> Self {
-        Shard {
-            engine,
-            span,
-            peers: BTreeMap::new(),
-            verdicts: Vec::new(),
-            decision_ns: Vec::new(),
-            scratch: Vec::new(),
-        }
-    }
-
-    fn ingest(&mut self, ev: TraceEvent) {
-        let engine = self.engine;
-        let span_start = self.span.start;
-        let peer = self
-            .peers
+    events: impl Iterator<Item = &'t TraceEvent>,
+) -> Vec<PeerVerdict> {
+    let mut peers: BTreeMap<PeerKey, StreamingProfile> = BTreeMap::new();
+    let mut verdicts = Vec::new();
+    let mut scratch = Vec::new();
+    for ev in events {
+        let profile = peers
             .entry(ev.peer)
-            .or_insert_with(|| StreamingProfile::new(engine, span_start));
-        let t = Instant::now();
+            .or_insert_with(|| StreamingProfile::new(engine, span.start));
         match ev.kind {
-            TraceEventKind::Message(ty) => {
-                peer.on_message(engine, ev.time, ty, &mut self.scratch);
-            }
-            TraceEventKind::Reconnect => peer.on_reconnect(engine, ev.time, &mut self.scratch),
+            TraceEventKind::Message(ty) => profile.on_message(engine, ev.time, ty, &mut scratch),
+            TraceEventKind::Reconnect => profile.on_reconnect(engine, ev.time, &mut scratch),
         }
-        if self.scratch.is_empty() {
-            return;
-        }
-        // Window(s) closed: this event paid a decision.
-        self.decision_ns.push(t.elapsed().as_nanos() as u64);
-        for verdict in self.scratch.drain(..) {
-            self.verdicts.push(PeerVerdict {
-                peer: ev.peer,
-                verdict,
-            });
-        }
+        let peer = ev.peer;
+        verdicts.extend(scratch.drain(..).map(|verdict| PeerVerdict { peer, verdict }));
     }
-
-    /// Closes every peer's stream at the span end and returns the shard's
-    /// verdicts (still unsorted) and latency samples.
-    fn finish(mut self) -> (Vec<PeerVerdict>, Vec<u64>) {
-        let keys: Vec<PeerKey> = self.peers.keys().copied().collect();
-        for key in keys {
-            let t = Instant::now();
-            if let Some(peer) = self.peers.get_mut(&key) {
-                peer.finish(self.engine, self.span.end, &mut self.scratch);
-            }
-            if !self.scratch.is_empty() {
-                self.decision_ns.push(t.elapsed().as_nanos() as u64);
-            }
-            for verdict in self.scratch.drain(..) {
-                self.verdicts.push(PeerVerdict { peer: key, verdict });
-            }
-        }
-        (self.verdicts, self.decision_ns)
+    for (&peer, profile) in &mut peers {
+        profile.finish(engine, span.end, &mut scratch);
+        verdicts.extend(scratch.drain(..).map(|verdict| PeerVerdict { peer, verdict }));
     }
+    verdicts
 }
-
-/// Ingest channel depth per shard: deep enough to decouple the producer
-/// from scoring hiccups, bounded so a slow shard applies backpressure
-/// instead of buffering the whole trace.
-const CHANNEL_DEPTH: usize = 1024;
 
 fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for b in bytes {
@@ -258,87 +188,48 @@ pub fn run_service(
     span: TraceSpan,
     shards: usize,
 ) -> ServeOutput {
-    bench_service(engine, trace, span, shards).0
-}
-
-/// [`run_service`] plus wall-clock measurement. The deterministic output
-/// is identical to an unmeasured run: timing reads never feed state.
-pub fn bench_service(
-    engine: &StreamingEngine,
-    trace: &[TraceEvent],
-    span: TraceSpan,
-    shards: usize,
-) -> (ServeOutput, ServeBench) {
     // lint:allow(panic-path): harness configuration check; shard count comes from the scenario, not a peer
     assert!(shards >= 1, "need at least one shard");
-    let started = Instant::now();
-    let (all, mut decision_ns) = if shards == 1 {
-        // Serial path: no channel, no threads — the yardstick the sharded
-        // paths must reproduce byte for byte.
-        let mut shard = Shard::new(engine, span);
-        for ev in trace {
-            shard.ingest(*ev);
+    let modulus = shards as u64;
+    let parts = btc_par::par_map(shards, (0..modulus).collect(), |i| {
+        let mine = trace.iter().filter(|ev| ev.peer % modulus == i);
+        run_shard(engine, span, mine)
+    });
+    reduce(parts.into_iter().flatten().collect(), trace.len() as u64)
+}
+
+/// Groups a trace into per-peer [`TrafficWindow`]s, keyed by peer: every
+/// full window of the span for every peer with an event in it (silent
+/// windows included — a normal peer can legitimately be quiet). Events
+/// outside the span's full windows are dropped.
+pub fn group_windows(
+    trace: &[TraceEvent],
+    span: TraceSpan,
+    window_len: Nanos,
+) -> BTreeMap<PeerKey, Vec<TrafficWindow>> {
+    let total_windows = span.windows(window_len);
+    let minutes = window_len as f64 / crate::streaming::MINUTE as f64;
+    let mut grouped: BTreeMap<PeerKey, Vec<TrafficWindow>> = BTreeMap::new();
+    for ev in trace {
+        if ev.time < span.start || ev.time >= span.start + total_windows * window_len {
+            continue;
         }
-        shard.finish()
-    } else {
-        std::thread::scope(|scope| {
-            let mut senders = Vec::with_capacity(shards);
-            let mut handles = Vec::with_capacity(shards);
-            for _ in 0..shards {
-                let (tx, rx) = mpsc::sync_channel::<TraceEvent>(CHANNEL_DEPTH);
-                senders.push(tx);
-                handles.push(scope.spawn(move || {
-                    let mut shard = Shard::new(engine, span);
-                    while let Ok(ev) = rx.recv() {
-                        shard.ingest(ev);
-                    }
-                    shard.finish()
-                }));
+        let idx = ((ev.time - span.start) / window_len) as usize;
+        let windows = grouped
+            .entry(ev.peer)
+            .or_insert_with(|| vec![TrafficWindow::empty(minutes); total_windows as usize]);
+        // lint:allow(panic-path): idx < total_windows by the `continue` filter above; vec sized to total_windows
+        let window = &mut windows[idx];
+        match ev.kind {
+            TraceEventKind::Message(ty) => {
+                if let Some(slot) = window.counts.get_mut(ty as usize) {
+                    *slot += 1;
+                }
             }
-            for ev in trace {
-                let target = (ev.peer % shards as u64) as usize;
-                // lint:allow(panic-path): target < shards by the modulo; receiver lives until senders drop below
-                senders[target].send(*ev).expect("shard hung up");
-            }
-            drop(senders);
-            let mut all = Vec::new();
-            let mut ns = Vec::new();
-            // Joined in shard order; the sort in `reduce` makes the final
-            // order independent of it anyway.
-            for handle in handles {
-                // lint:allow(panic-path): bench-harness thread join; shard panics must surface, not vanish
-                let (verdicts, decision_ns) = handle.join().expect("shard panicked");
-                all.extend(verdicts);
-                ns.extend(decision_ns);
-            }
-            (all, ns)
-        })
-    };
-    let elapsed_ns = started.elapsed().as_nanos() as u64;
-    let events = trace.len() as u64;
-    let out = reduce(all, events);
-    decision_ns.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        if decision_ns.is_empty() {
-            return 0;
+            TraceEventKind::Reconnect => window.reconnects += 1,
         }
-        let idx = ((decision_ns.len() - 1) as f64 * p).round() as usize;
-        // lint:allow(panic-path): index clamped by the min(); is_empty handled above
-        decision_ns[idx.min(decision_ns.len() - 1)]
-    };
-    let bench = ServeBench {
-        shards,
-        events,
-        elapsed_ns,
-        msgs_per_sec: if elapsed_ns == 0 {
-            0.0
-        } else {
-            events as f64 * 1e9 / elapsed_ns as f64
-        },
-        p50_decision_ns: pct(0.50),
-        p99_decision_ns: pct(0.99),
-    };
-    (out, bench)
+    }
+    grouped
 }
 
 /// The batch comparison pipeline: group the same trace into per-peer
@@ -353,28 +244,7 @@ pub fn batch_verdicts(
     span: TraceSpan,
     window_len: Nanos,
 ) -> Vec<PeerVerdict> {
-    let total_windows = span.windows(window_len);
-    let minutes = window_len as f64 / crate::streaming::MINUTE as f64;
-    let mut grouped: BTreeMap<PeerKey, Vec<TrafficWindow>> = BTreeMap::new();
-    for ev in trace {
-        if ev.time < span.start || ev.time >= span.start + total_windows * window_len {
-            continue;
-        }
-        let idx = ((ev.time - span.start) / window_len) as usize;
-        let windows = grouped
-            .entry(ev.peer)
-            .or_insert_with(|| vec![TrafficWindow::empty(minutes); total_windows as usize]);
-        match ev.kind {
-            TraceEventKind::Message(ty) => {
-                // lint:allow(panic-path): idx < total_windows by the min() above; vec sized to total_windows
-                if let Some(slot) = windows[idx].counts.get_mut(ty as usize) {
-                    *slot += 1;
-                }
-            }
-            // lint:allow(panic-path): idx < total_windows by the min() above; vec sized to total_windows
-            TraceEventKind::Reconnect => windows[idx].reconnects += 1,
-        }
-    }
+    let grouped = group_windows(trace, span, window_len);
     let mut out = Vec::new();
     for (peer, windows) in &grouped {
         for (idx, w) in windows.iter().enumerate() {
@@ -390,43 +260,6 @@ pub fn batch_verdicts(
         }
     }
     out
-}
-
-/// [`batch_verdicts`] timed: wall-clock for the whole group-then-score
-/// pass, reported in the same units as [`ServeBench`] so the JSON rows
-/// are directly comparable.
-pub fn bench_batch(
-    profile: &Profile,
-    engine: &AnalysisEngine,
-    trace: &[TraceEvent],
-    span: TraceSpan,
-    window_len: Nanos,
-) -> (Vec<PeerVerdict>, ServeBench) {
-    let started = Instant::now();
-    let verdicts = batch_verdicts(profile, engine, trace, span, window_len);
-    let elapsed_ns = started.elapsed().as_nanos() as u64;
-    // Per-decision latency for batch: time one representative detect()
-    // per percentile slot would undercount the grouping cost, so report
-    // the amortized per-window cost for both percentiles.
-    let per_window = if verdicts.is_empty() {
-        0
-    } else {
-        elapsed_ns / verdicts.len() as u64
-    };
-    let events = trace.len() as u64;
-    let bench = ServeBench {
-        shards: 1,
-        events,
-        elapsed_ns,
-        msgs_per_sec: if elapsed_ns == 0 {
-            0.0
-        } else {
-            events as f64 * 1e9 / elapsed_ns as f64
-        },
-        p50_decision_ns: per_window,
-        p99_decision_ns: per_window,
-    };
-    (verdicts, bench)
 }
 
 /// Verdict agreement between a streaming run and the batch pipeline on
@@ -523,7 +356,7 @@ mod tests {
         let serial = run_service(&engine, &trace, span, 1);
         assert_eq!(serial.peers, 9);
         assert_eq!(serial.verdicts.len(), 9 * 3);
-        for shards in [2, 3, 4, 8] {
+        for shards in [2, 3, 4, 8, 16] {
             let sharded = run_service(&engine, &trace, span, shards);
             assert_eq!(sharded.digest, serial.digest, "shards={shards}");
             assert_eq!(sharded.verdicts, serial.verdicts, "shards={shards}");
@@ -565,28 +398,6 @@ mod tests {
             assert_eq!(s.verdict.detection.c, b.verdict.detection.c);
             assert!((s.verdict.detection.rho - b.verdict.detection.rho).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn bench_reports_throughput_and_latency() {
-        let window_len = MINUTE;
-        let engine = trained_engine(window_len);
-        let (trace, span) = synthetic_trace(5, 2, window_len);
-        let (out, bench) = bench_service(&engine, &trace, span, 2);
-        assert_eq!(bench.events, trace.len() as u64);
-        assert!(bench.msgs_per_sec > 0.0);
-        assert!(bench.p99_decision_ns >= bench.p50_decision_ns);
-        // The measured run's deterministic half equals an unmeasured run.
-        let plain = run_service(&engine, &trace, span, 4);
-        assert_eq!(out.digest, plain.digest);
-        let (_, batch_bench) = bench_batch(
-            &engine.profile,
-            &AnalysisEngine::default(),
-            &trace,
-            span,
-            window_len,
-        );
-        assert!(batch_bench.msgs_per_sec > 0.0);
     }
 
     #[test]

@@ -127,7 +127,7 @@ fn service_digest_is_shard_count_invariant_for_any_trace() {
         trace.sort_by_key(|e| e.time);
         let engine = StreamingEngine::new(profile, window_len);
         let serial = run_service(&engine, &trace, span, 1);
-        for shards in [2, 3, 5] {
+        for shards in [2, 3, 5, 16] {
             let sharded = run_service(&engine, &trace, span, shards);
             assert_eq!(sharded.digest, serial.digest, "shards={shards}");
             assert_eq!(sharded.verdicts, serial.verdicts, "shards={shards}");

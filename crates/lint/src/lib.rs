@@ -19,7 +19,7 @@
 //! | `score-arith`    | `crates/node/src/banscore/`       | saturating/checked score arithmetic  |
 //! | `rng-stream`     | RNG roots + reachable fns         | draws stay on the owning salted      |
 //! |                  |                                   | stream; `SimRng::new` is salted      |
-//! | `lock-order`     | par + netsim + detect serve       | Mutex acquisitions follow the        |
+//! | `lock-order`     | par + netsim                      | Mutex acquisitions follow the        |
 //! |                  |                                   | declared total order                 |
 //! | `ban-exhaustive` | message.rs / rules.rs / node.rs   | Table I covers all 26 types          |
 //! | `stale-allow`    | markers + lint-allow.txt          | every exemption still suppresses     |

@@ -236,7 +236,6 @@ pub const LOCK_ORDER: &[&str] = &[
 pub const LOCK_SCOPE_FILES: &[&str] = &[
     "crates/par/src/lib.rs",
     "crates/par/src/phase.rs",
-    "crates/detect/src/serve.rs",
     "crates/netsim/src/sim.rs",
     "crates/netsim/src/shard.rs",
 ];

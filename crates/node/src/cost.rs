@@ -1,19 +1,13 @@
 //! Processing-cost model: cycles charged to the victim's CPU for each stage
 //! of the receive path.
 //!
-//! Two tiers, matching how the paper reports costs:
-//!
-//! * **Micro costs** ([`CostModel`]) follow the *relative* per-query
-//!   processing costs of Table II — checksum work scales with payload
-//!   bytes, block validation with transaction count, etc. These drive the
-//!   in-simulator CPU accounting.
-//! * **Interference costs** ([`CostModel::interference_cost`]) add the
-//!   fixed per-message overhead a real `bitcoind` pays per delivered
-//!   message (socket wake-up, lock acquisition, thread scheduling on the
-//!   paper's single-vCPU testbed). The constant is calibrated once against
-//!   Figure 6's single-connection operating points and documented in
-//!   EXPERIMENTS.md; it is what makes message *rate* — not just message
-//!   *bytes* — hurt the mining loop.
+//! The costs ([`CostModel`]) follow the *relative* per-query processing
+//! costs of Table II — checksum work scales with payload bytes, block
+//! validation with transaction count, etc. They drive the in-simulator CPU
+//! accounting. The fixed per-message overhead a real `bitcoind` pays per
+//! delivered message (socket wake-up, lock acquisition, scheduling), which
+//! is what makes message *rate* hurt the mining loop of Figures 6/7 and
+//! Table III, is modelled separately by `banscore::contention`.
 
 use btc_wire::message::Message;
 
@@ -47,13 +41,6 @@ pub const FRAME_BASE_CYCLES: u64 = 2_000;
 /// Cycles per payload byte for payload deserialization.
 pub const DECODE_CYCLES_PER_BYTE: u64 = 2;
 
-/// Fixed per-message interference overhead (socket wake-up + locks on the
-/// paper's testbed); calibrated to Figure 6. See EXPERIMENTS.md.
-pub const INTERFERENCE_WAKEUP_CYCLES: u64 = 1_600_000;
-
-/// Per-byte interference cost (copy + checksum at memory bandwidth).
-pub const INTERFERENCE_CYCLES_PER_BYTE: u64 = 25;
-
 /// The victim-side processing cost model.
 #[derive(Clone, Copy, Debug)]
 pub struct CostModel {
@@ -63,10 +50,6 @@ pub struct CostModel {
     pub frame_base: u64,
     /// Cycles per decoded byte.
     pub decode_per_byte: u64,
-    /// Fixed per-message interference overhead.
-    pub interference_wakeup: u64,
-    /// Per-byte interference cost.
-    pub interference_per_byte: u64,
 }
 
 impl Default for CostModel {
@@ -75,8 +58,6 @@ impl Default for CostModel {
             checksum_per_byte: CHECKSUM_CYCLES_PER_BYTE,
             frame_base: FRAME_BASE_CYCLES,
             decode_per_byte: DECODE_CYCLES_PER_BYTE,
-            interference_wakeup: INTERFERENCE_WAKEUP_CYCLES,
-            interference_per_byte: INTERFERENCE_CYCLES_PER_BYTE,
         }
     }
 }
@@ -137,12 +118,6 @@ impl CostModel {
     /// Full application-layer cost of a successfully decoded message.
     pub fn full_cost(&self, msg: &Message, payload_len: usize) -> u64 {
         self.checksum_cost(payload_len) + self.decode_cost(payload_len) + self.handler_cost(msg)
-    }
-
-    /// The calibrated end-to-end interference a delivered message inflicts
-    /// on a co-located miner (see module docs).
-    pub fn interference_cost(&self, payload_len: usize) -> u64 {
-        self.interference_wakeup + self.interference_per_byte * payload_len as u64
     }
 }
 
@@ -217,15 +192,5 @@ mod tests {
         assert!(m.handler_cost(&Message::Verack) > m.handler_cost(&Message::Version(
             btc_wire::message::VersionMessage::new(Default::default(), Default::default(), 0)
         )));
-    }
-
-    #[test]
-    fn interference_dominated_by_wakeup_for_small_messages() {
-        let m = CostModel::default();
-        let ping = m.interference_cost(8);
-        assert!(ping < m.interference_wakeup + 8 * m.interference_per_byte + 1);
-        // But large payloads add real cost.
-        let block = m.interference_cost(1_000_000);
-        assert!(block > 5 * ping);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A from-scratch Bitcoin protocol node built on [`btc_netsim`]: version
 //! handshake, full message processing for all 26 P2P message types, chain
-//! state with PoW/merkle validation, a mempool, a CPU-share miner, and —
+//! state with PoW/merkle validation, a mempool, and —
 //! the subject of the reproduced paper — the **ban-score misbehavior
 //! tracking mechanism** with the exact rule sets of Bitcoin Core 0.20.0,
 //! 0.21.0 and 0.22.0 (Table I).

@@ -1,5 +1,5 @@
 //! The Bitcoin node application: message processing, version handshake,
-//! ban-score enforcement, peer management and mining — the "target node"
+//! ban-score enforcement and peer management — the "target node"
 //! of the paper's testbed.
 //!
 //! The receive path deliberately mirrors Bitcoin Core's ordering, because
@@ -23,7 +23,6 @@ use crate::cost::CostModel;
 use crate::mempool::{Mempool, TxVerdict};
 use crate::metrics::Telemetry;
 use crate::peer::Peer;
-use btc_netsim::cpu::Miner;
 use btc_netsim::packet::SockAddr;
 use btc_netsim::sim::{App, Ctx};
 use btc_netsim::tcp::{CloseReason, ConnId};
@@ -46,8 +45,6 @@ mod recv;
 
 /// Timer tokens used by the node.
 mod timers {
-    /// Mining-rate sampling tick.
-    pub const MINER: u64 = 1;
     /// Periodic maintenance (ban sweep, outbound fill).
     pub const MAINTAIN: u64 = 2;
     /// Keepalive ping round.
@@ -98,19 +95,11 @@ pub struct NodeConfig {
     pub target_outbound: usize,
     /// Known peer addresses to draw outbound connections from.
     pub outbound_targets: Vec<SockAddr>,
-    /// Whether the miner runs.
-    pub miner_enabled: bool,
-    /// Miner sampling window.
-    pub miner_sample_interval: Nanos,
     /// Keepalive ping round interval (0 disables; Bitcoin pings every
     /// 2 minutes).
     pub ping_interval: Nanos,
     /// Processing cost model.
     pub cost: CostModel,
-    /// Charge the calibrated interference overhead per delivered message
-    /// (models the real-node contention of Figures 6/7; off by default so
-    /// micro-experiments see pure protocol costs).
-    pub charge_interference: bool,
     /// Ablation (DESIGN.md §5): score bad-checksum frames with this many
     /// points instead of silently dropping them. Bitcoin Core does NOT do
     /// this — its checksum check runs before misbehavior tracking, which
@@ -153,11 +142,8 @@ impl Default for NodeConfig {
             max_inbound: MAX_INBOUND_CONNECTIONS,
             target_outbound: MAX_OUTBOUND_CONNECTIONS,
             outbound_targets: Vec::new(),
-            miner_enabled: false,
-            miner_sample_interval: SECS,
             ping_interval: 120 * SECS,
             cost: CostModel::default(),
-            charge_interference: false,
             punish_bad_checksum_score: None,
             user_agent: "/Satoshi:0.20.0/".to_owned(),
             handshake_timeout: 0,
@@ -210,8 +196,6 @@ pub struct Node {
     pub mempool: Mempool,
     /// Telemetry consumed by the detection engine.
     pub telemetry: Telemetry,
-    /// CPU-share miner.
-    pub miner: Miner,
     /// Known-address table with the §VI-D diversity metric.
     pub addrman: AddrMan,
     pending_outbound: BTreeSet<SockAddr>,
@@ -252,7 +236,6 @@ impl Node {
             chain: Chain::new(),
             mempool: Mempool::default(),
             telemetry: Telemetry::default(),
-            miner: Miner::default(),
             peers: BTreeMap::new(),
             addrman,
             pending_outbound: BTreeSet::new(),
@@ -929,9 +912,6 @@ impl App for Node {
         ctx.listen(self.config.listen_port);
         self.fill_outbound(ctx);
         ctx.set_timer(SECS, timers::MAINTAIN);
-        if self.config.miner_enabled {
-            ctx.set_timer(self.config.miner_sample_interval, timers::MINER);
-        }
         if self.config.ping_interval > 0 {
             ctx.set_timer(self.config.ping_interval, timers::PING);
         }
@@ -1042,10 +1022,6 @@ impl App for Node {
                 self.fill_outbound(ctx);
                 self.flush_local_submissions(ctx);
                 ctx.set_timer(SECS, timers::MAINTAIN);
-            }
-            timers::MINER => {
-                self.miner.sample(self.now, ctx.cpu());
-                ctx.set_timer(self.config.miner_sample_interval, timers::MINER);
             }
             timers::PING => {
                 let targets: Vec<ConnId> = self

@@ -12,8 +12,8 @@
 //!   so batching it cannot reorder anything observable.
 //!
 //! * **Phase B — process.** Each scanned frame pays the paper's stage
-//!   sequence exactly as the frame-at-a-time loop did: charge checksum
-//!   (+ interference), verify checksum (**before** any misbehavior
+//!   sequence exactly as the frame-at-a-time loop did: charge checksum,
+//!   verify checksum (**before** any misbehavior
 //!   tracking — BM-DoS vector 2 depends on this ordering), charge decode,
 //!   decode, charge handler, record telemetry, then handshake gate /
 //!   handler. If a frame bans or disconnects the peer mid-batch,
@@ -80,9 +80,6 @@ impl Node {
             // Stage 2: checksum. The victim pays the hash pass for every
             // frame, valid or not.
             ctx.charge_cpu(self.config.cost.checksum_cost(raw.payload.len()));
-            if self.config.charge_interference {
-                ctx.charge_cpu(self.config.cost.interference_cost(raw.payload.len()));
-            }
             if verify_checksum(&raw).is_err() {
                 // BM-DoS vector 2: dropped before misbehavior tracking;
                 // the sender's score never moves.

@@ -80,12 +80,14 @@ impl<T> Shared<T> {
     /// Pops work for worker `me`: own deque from the back, then a sweep
     /// of the other deques from the front.
     fn find_task(&self, me: usize) -> Option<Task<T>> {
+        // lint:allow(panic-path): pool locks poison only if pool code panics while holding one; tasks run under catch_unwind with no lock held
         if let Some(t) = self.deques[me].lock().expect("deque lock").pop_back() {
             return Some(t);
         }
         let n = self.deques.len();
         for k in 1..n {
             let victim = (me + k) % n;
+            // lint:allow(panic-path): pool lock poisoning, unreachable (see find_task)
             if let Some(t) = self.deques[victim].lock().expect("deque lock").pop_front() {
                 return Some(t);
             }
@@ -96,6 +98,7 @@ impl<T> Shared<T> {
     /// Marks one task complete, waking parked workers when it was the
     /// last one.
     fn complete_one(&self) {
+        // lint:allow(panic-path): pool lock poisoning, unreachable (see find_task)
         let mut pending = self.pending.lock().expect("pending lock");
         *pending -= 1;
         if *pending == 0 {
@@ -156,11 +159,13 @@ where
                                 Ok(r) => {
                                     // Each index is dealt to exactly one
                                     // deque and popped once.
+                                    // lint:allow(panic-path): pool lock poisoning, unreachable (see find_task)
                                     *slots[idx].lock().expect("slot lock") = Some(r);
                                 }
                                 Err(payload) => {
                                     shared.poisoned.store(true, Ordering::Release);
                                     let mut slot =
+                                        // lint:allow(panic-path): pool lock poisoning, unreachable (see find_task)
                                         first_panic.lock().expect("panic slot lock");
                                     if slot.is_none() {
                                         *slot = Some(payload);
@@ -174,8 +179,10 @@ where
                         // Every deque is empty. Park until the in-flight
                         // tasks finish; with a fixed task set no new work
                         // can appear, so pending == 0 is the exit signal.
+                        // lint:allow(panic-path): pool lock poisoning, unreachable (see find_task)
                         let mut pending = shared.pending.lock().expect("pending lock");
                         while *pending > 0 {
+                            // lint:allow(panic-path): pool lock poisoning, unreachable (see find_task)
                             pending = shared.work.wait(pending).expect("pool wait");
                         }
                         return;
@@ -185,6 +192,7 @@ where
         }
     });
 
+    // lint:allow(panic-path): pool lock poisoning, unreachable (see find_task)
     if let Some(payload) = first_panic.into_inner().expect("panic slot lock") {
         resume_unwind(payload);
     }
@@ -192,7 +200,7 @@ where
         .into_iter()
         .map(|slot| {
             slot.into_inner()
-                .expect("slot lock")
+                .expect("slot lock") // lint:allow(panic-path): see find_task; every slot is written before the scope joins
                 .expect("every task completed")
         })
         .collect()

@@ -110,10 +110,19 @@ echo "==> serve smoke: sharded service must be byte-identical at 1 vs 4 shards"
 # per (case, shard count); wall-clock lines are prefixed [wall] and are
 # not compared. A digest mismatch means the sharded per-peer service
 # diverged from the serial run — the determinism contract is broken.
-serve_out=$(mktemp)
-trap 'rm -f "$smoke_json" "$out1" "$out4" "$serve_out"' EXIT
+# Cases fan out over --jobs and each case fans its shards out again, so
+# the non-[wall] output is also diffed at --jobs 1 vs --jobs 4 to pin the
+# nested fan-out byte for byte.
+serve_out=$(mktemp) serve_out1=$(mktemp)
+trap 'rm -f "$smoke_json" "$out1" "$out4" "$serve_out" "$serve_out1"' EXIT
 cargo run --release --offline -p btc-bench --bin repro -- \
-  --quick --jobs 2 serve > "$serve_out"
+  --quick --jobs 1 serve > "$serve_out1"
+cargo run --release --offline -p btc-bench --bin repro -- \
+  --quick --jobs 4 serve > "$serve_out"
+if ! diff -u <(grep -v '^  \[wall\] ' "$serve_out1") <(grep -v '^  \[wall\] ' "$serve_out"); then
+  echo "ERROR: serve output differs between --jobs 1 and --jobs 4" >&2
+  exit 1
+fi
 d1=$(grep -E '^  digest shards=1 ' "$serve_out" | awk '{print $3}')
 d4=$(grep -E '^  digest shards=4 ' "$serve_out" | awk '{print $3}')
 if [ -z "$d1" ] || [ "$d1" != "$d4" ]; then
@@ -137,7 +146,7 @@ echo "==> swarm smoke: sharded netsim must be byte-identical at 1 vs 4 workers"
 # of crates/netsim/src/shard.rs is broken. The quick grid times 1 and 4
 # workers on a small topology, so this doubles as the shard-matrix smoke.
 swarm_out=$(mktemp)
-trap 'rm -f "$smoke_json" "$out1" "$out4" "$serve_out" "$swarm_out"' EXIT
+trap 'rm -f "$smoke_json" "$out1" "$out4" "$serve_out" "$serve_out1" "$swarm_out"' EXIT
 cargo run --release --offline -p btc-bench --bin repro -- \
   --quick swarm > "$swarm_out"
 s1=$(grep -E '^  digest workers=1 ' "$swarm_out" | awk '{print $3}')
